@@ -93,32 +93,62 @@ Bin::alloc_batch(void** out, unsigned n)
     return produced;
 }
 
-void
-Bin::free_one(void* ptr, ExtentMeta* meta)
+unsigned
+Bin::slot_of(void* ptr, ExtentMeta* meta) const
 {
     MSW_DCHECK(meta->kind == ExtentKind::kSlab && meta->cls == cls_);
     const std::size_t obj_size = class_size(cls_);
     const auto offset = to_addr(ptr) - meta->base;
     MSW_DCHECK(offset % obj_size == 0);
-    const unsigned slot = static_cast<unsigned>(offset / obj_size);
-    const unsigned nslots = slab_slots(cls_);
+    return static_cast<unsigned>(offset / obj_size);
+}
 
-    LockGuard g(lock_);
+bool
+Bin::clear_slot_locked(ExtentMeta* meta, unsigned slot)
+{
     MSW_CHECK(meta->slot_allocated(slot));
-    const bool was_full = meta->used_slots == nslots;
+    const bool was_full = meta->used_slots == slab_slots(cls_);
     meta->clear_slot(slot);
     --meta->used_slots;
+    return was_full;
+}
+
+void
+Bin::retire_if_empty_locked(ExtentMeta* meta)
+{
+    if (meta->used_slots != 0)
+        return;
+    // Keep one empty slab cached; release further ones.
+    nonfull_.remove(meta);
+    if (cached_empty_ == nullptr) {
+        cached_empty_ = meta;
+    } else {
+        extents_->free_extent(meta);
+    }
+}
+
+void
+Bin::free_one(void* ptr, ExtentMeta* meta)
+{
+    const unsigned slot = slot_of(ptr, meta);
+    LockGuard g(lock_);
+    if (clear_slot_locked(meta, slot))
+        nonfull_.push_front(meta);
+    retire_if_empty_locked(meta);
+}
+
+void
+Bin::free_batch(ExtentMeta* meta, void* const* ptrs, std::size_t n)
+{
+    LockGuard g(lock_);
+    bool was_full = false;
+    for (std::size_t i = 0; i < n; ++i)
+        was_full |= clear_slot_locked(meta, slot_of(ptrs[i], meta));
+    // Only the first free can find the slab full, and the slab can only
+    // empty on the last: list moves once, as n free_one() calls would.
     if (was_full)
         nonfull_.push_front(meta);
-    if (meta->used_slots == 0) {
-        // Keep one empty slab cached; release further ones.
-        nonfull_.remove(meta);
-        if (cached_empty_ == nullptr) {
-            cached_empty_ = meta;
-        } else {
-            extents_->free_extent(meta);
-        }
-    }
+    retire_if_empty_locked(meta);
 }
 
 }  // namespace msw::alloc

@@ -57,6 +57,14 @@ class Bin
      */
     void free_one(void* ptr, ExtentMeta* meta);
 
+    /**
+     * Return @p n objects that all live in slab @p meta, under one lock
+     * acquisition. Same slab-list and empty-slab rules as @p n calls to
+     * free_one(): a full slab rejoins the nonfull list, an emptied one
+     * becomes the cached empty slab or goes back to the extent layer.
+     */
+    void free_batch(ExtentMeta* meta, void* const* ptrs, std::size_t n);
+
     unsigned cls() const { return cls_; }
 
     // atfork integration (called by JadeAllocator's fork hooks): fork
@@ -68,6 +76,13 @@ class Bin
 
   private:
     ExtentMeta* grab_slab_locked() MSW_REQUIRES(lock_);
+    /** Slot index of @p ptr within slab @p meta. */
+    unsigned slot_of(void* ptr, ExtentMeta* meta) const;
+    /** Free @p slot of @p meta; true if the slab was full before. */
+    bool clear_slot_locked(ExtentMeta* meta, unsigned slot)
+        MSW_REQUIRES(lock_);
+    /** Cache or release @p meta if it has no live slots left. */
+    void retire_if_empty_locked(ExtentMeta* meta) MSW_REQUIRES(lock_);
 
     ExtentAllocator* extents_ = nullptr;
     // Rank kBin: nests before the extent lock (grab_slab_locked and

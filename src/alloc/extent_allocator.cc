@@ -251,6 +251,24 @@ void
 ExtentAllocator::free_extent(ExtentMeta* e)
 {
     LockGuard g(lock_);
+    free_extent_locked(e);
+}
+
+void
+ExtentAllocator::free_extent_decommitted(ExtentMeta* e)
+{
+    LockGuard g(lock_);
+    if (e->committed) {
+        e->committed = false;
+        MSW_DCHECK(committed_bytes_ >= e->bytes());
+        committed_bytes_ -= e->bytes();
+    }
+    free_extent_locked(e);
+}
+
+void
+ExtentAllocator::free_extent_locked(ExtentMeta* e)
+{
     MSW_DCHECK(e->kind != ExtentKind::kFree);
     MSW_DCHECK(active_bytes_ >= e->bytes());
     active_bytes_ -= e->bytes();

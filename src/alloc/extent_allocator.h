@@ -78,6 +78,16 @@ class ExtentAllocator
     void free_extent(ExtentMeta* e);
 
     /**
+     * Return an extent whose pages the caller has already decommitted
+     * (discarded and inaccessible, as the purge hook leaves them). It
+     * rejoins the free lists uncommitted: committed bytes drop by its
+     * size, it coalesces with uncommitted neighbours, purge_all() has
+     * nothing left to do for it, and reuse commits it through the
+     * commit hook.
+     */
+    void free_extent_decommitted(ExtentMeta* e);
+
+    /**
      * Look up the extent containing @p addr. Returns nullptr for addresses
      * outside any active extent (free ranges, never-allocated space, or
      * outside the reservation).
@@ -196,6 +206,7 @@ class ExtentAllocator
     void map_extent(ExtentMeta* e) MSW_REQUIRES(lock_);
     void unmap_extent_range(ExtentMeta* e) MSW_REQUIRES(lock_);
     void mark_free_boundaries(ExtentMeta* e) MSW_REQUIRES(lock_);
+    void free_extent_locked(ExtentMeta* e) MSW_REQUIRES(lock_);
     [[nodiscard]] bool ensure_committed(ExtentMeta* e) MSW_REQUIRES(lock_);
     void purge_extent(ExtentMeta* e) MSW_REQUIRES(lock_);
     void decay_pass_locked(std::uint64_t now) MSW_REQUIRES(lock_);

@@ -2,6 +2,7 @@
 
 #include <sys/mman.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <new>
@@ -402,20 +403,80 @@ JadeAllocator::free(void* ptr)
 void
 JadeAllocator::free_direct(void* ptr)
 {
-    if (ptr == nullptr)
-        return;
-    // msw-relaxed(stat-cells): statistics counter; totals need no
+    if (ptr != nullptr)
+        free_direct_batch(&ptr, 1);
+}
+
+void
+JadeAllocator::free_direct_batch(void* const* ptrs, std::size_t n)
+{
+    for (std::size_t w = 0; w < n; w += kBatchWindow)
+        free_direct_window(ptrs + w, std::min(kBatchWindow, n - w));
+}
+
+void
+JadeAllocator::free_direct_window(void* const* ptrs, std::size_t n)
+{
+    // Group by slab, first appearance first: a window holds few distinct
+    // slabs, so a linear search over the groups found so far suffices.
+    ExtentMeta* slabs[kBatchWindow];
+    std::size_t count[kBatchWindow];
+    std::size_t group_of[kBatchWindow];
+    std::size_t groups = 0;
+    std::size_t freed_bytes = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        ExtentMeta* meta = extents_.lookup_live(to_addr(ptrs[i]));
+        if (meta->kind == ExtentKind::kLarge) {
+            freed_bytes += meta->bytes();
+            extents_.free_extent(meta);
+            group_of[i] = kBatchWindow;
+            continue;
+        }
+        freed_bytes += class_size(meta->cls);
+        std::size_t g = 0;
+        while (g < groups && slabs[g] != meta)
+            ++g;
+        if (g == groups) {
+            slabs[groups] = meta;
+            count[groups++] = 0;
+        }
+        group_of[i] = g;
+        ++count[g];
+    }
+    // Lay each group out contiguously, then return it under one lock.
+    std::size_t end[kBatchWindow];
+    for (std::size_t g = 0, at = 0; g < groups; at += count[g++])
+        end[g] = at;
+    void* grouped[kBatchWindow];
+    for (std::size_t i = 0; i < n; ++i) {
+        if (group_of[i] != kBatchWindow)
+            grouped[end[group_of[i]]++] = ptrs[i];
+    }
+    for (std::size_t g = 0; g < groups; ++g) {
+        bin_for(slabs[g]->arena, slabs[g]->cls)
+            .free_batch(slabs[g], &grouped[end[g] - count[g]], count[g]);
+    }
+    // The sweeper's stack is a scan root in the self-hosted deployment:
+    // leave no raw block addresses behind for the next sweep to pin.
+    explicit_bzero(grouped, sizeof(grouped));
+    // msw-relaxed(stat-cells): statistics counters; totals need no
+    // ordering.
+    free_calls_.fetch_add(n, std::memory_order_relaxed);
+    // msw-relaxed(stat-cells): as above — one update per window.
+    live_bytes_.fetch_sub(freed_bytes, std::memory_order_relaxed);
+}
+
+void
+JadeAllocator::free_decommitted(void* ptr)
+{
+    ExtentMeta* meta = extents_.lookup_live(to_addr(ptr));
+    MSW_CHECK(meta->kind == ExtentKind::kLarge);
+    // msw-relaxed(stat-cells): statistics counters; totals need no
     // ordering.
     free_calls_.fetch_add(1, std::memory_order_relaxed);
-    ExtentMeta* meta = extents_.lookup_live(to_addr(ptr));
-    if (meta->kind == ExtentKind::kLarge) {
-        free_large(meta);
-        return;
-    }
-    // msw-relaxed(stat-cells): statistics counter; totals need no
-    // ordering.
-    live_bytes_.fetch_sub(class_size(meta->cls), std::memory_order_relaxed);
-    bin_for(meta->arena, meta->cls).free_one(ptr, meta);
+    // msw-relaxed(stat-cells): as above.
+    live_bytes_.fetch_sub(meta->bytes(), std::memory_order_relaxed);
+    extents_.free_extent_decommitted(meta);
 }
 
 void

@@ -77,6 +77,29 @@ class JadeAllocator final : public Allocator
      */
     void free_direct(void* ptr);
 
+    /** Pointers free_direct_batch() groups at a time. */
+    static constexpr std::size_t kBatchWindow = 64;
+
+    /**
+     * free_direct() for @p n pointers at once, kBatchWindow at a time.
+     * Within a window, small objects are grouped by slab in order of
+     * first appearance and each group goes back under one bin lock
+     * (Bin::free_batch), so a caller-chosen order — the hardened
+     * policy's release shuffle — still decides which slab rejoins its
+     * bin's list first. The call and live-byte counters update once per
+     * window. Windows bound both the scratch (on the stack) and how long
+     * a mutator's cache refill can wait behind one bin lock.
+     */
+    void free_direct_batch(void* const* ptrs, std::size_t n);
+
+    /**
+     * Free a large allocation whose pages the caller has already
+     * decommitted: the extent rejoins the free lists uncommitted (see
+     * ExtentAllocator::free_extent_decommitted) instead of being
+     * recommitted only to be purged again.
+     */
+    void free_decommitted(void* ptr);
+
     /** Resize in place when possible, else allocate/copy/free. */
     void* realloc(void* ptr, std::size_t new_size) override;
 
@@ -164,6 +187,7 @@ class JadeAllocator final : public Allocator
     void flush_shard(TCache* tc, unsigned cls, unsigned keep);
     void free_small(void* ptr, ExtentMeta* meta);
     void free_large(ExtentMeta* meta);
+    void free_direct_window(void* const* ptrs, std::size_t n);
     Bin& bin_for(std::uint8_t arena, unsigned cls) const;
     unsigned arena_for_thread();
     static void tcache_destructor(void* arg);

@@ -2,6 +2,7 @@
 
 #include "core/sweep_controller.h"
 #include "metrics/telemetry.h"
+#include "sweep/residency.h"
 #include "sweep/sweeper.h"
 #include "util/bits.h"
 #include "util/log.h"
@@ -200,10 +201,10 @@ MarkUs::run_mark()
     // Phase 1b: concurrent transitive mark from the roots.
     std::vector<Range> worklist;
     std::vector<Range> root_scan;
-    for (const Range& r : roots_.roots())
-        sweep::append_resident_subranges(r, &root_scan);
+    std::vector<Range> root_ranges = roots_.roots();
     for (const Range& r : roots_.stacks())
-        sweep::append_resident_subranges(r, &root_scan);
+        root_ranges.push_back(r);
+    sweep::append_resident_subranges(root_ranges, &root_scan);
     for (const Range& r : root_scan)
         scan_for_objects(r.base, r.len, &worklist);
     drain_worklist(&worklist);
@@ -215,12 +216,12 @@ MarkUs::run_mark()
     roots_.stop_world();
     std::vector<Range> rescan;
     tracker_->end_collect(rescan);
+    std::vector<Range> stw_roots = roots_.stacks_stw();
     if (!tracker_->tracks_arbitrary_memory()) {
         for (const Range& r : roots_.roots_stw())
-            sweep::append_resident_subranges(r, &rescan);
+            stw_roots.push_back(r);
     }
-    for (const Range& r : roots_.stacks_stw())
-        sweep::append_resident_subranges(r, &rescan);
+    sweep::append_resident_subranges(stw_roots, &rescan);
     for (const Range& r : roots_.parked_registers())
         rescan.push_back(r);
     for (const Range& r : rescan)
@@ -249,21 +250,20 @@ MarkUs::run_mark()
     // Phase 3: release unmarked quarantined allocations.
     const std::uint64_t release_t0 = core::monotonic_ns();
     std::vector<Entry> failed;
-    std::uint64_t released_n = 0;
+    std::vector<Entry> releasable;
     for (const Entry& e : locked_in) {
-        if (mark_bits_.test(e.real_base())) {
+        if (mark_bits_.test(e.real_base()))
             failed.push_back(e);
-            continue;
-        }
-        if (!reclaimer_.release_entry(e)) {
-            // Cannot restore accessibility; keep the entry quarantined
-            // and retry on the next pass rather than hand out an
-            // inaccessible block.
-            failed.push_back(e);
-            continue;
-        }
-        ++released_n;
+        else
+            releasable.push_back(e);
     }
+    // Entries whose accessibility cannot be restored land in `failed`
+    // too: kept quarantined and retried on the next pass rather than
+    // handed out inaccessible.
+    const std::uint64_t released_n =
+        reclaimer_.release_entries(releasable.data(), releasable.size(),
+                                   &failed)
+            .entries;
     const std::uint64_t release_ns = core::monotonic_ns() - release_t0;
     stats_.add(Stat::kPhaseReleaseNs, release_ns);
     metrics::telemetry().trace_event(metrics::TraceEvent::kPhaseRelease,

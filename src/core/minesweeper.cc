@@ -7,6 +7,7 @@
 #include "alloc/policy.h"
 #include "core/lifecycle.h"
 #include "metrics/telemetry.h"
+#include "sweep/residency.h"
 #include "util/bits.h"
 #include "util/log.h"
 
@@ -319,13 +320,14 @@ MineSweeper::maybe_trigger_sweep()
 std::vector<Range>
 MineSweeper::scan_ranges() const
 {
-    std::vector<Range> ranges = access_map_.committed_runs();
+    // Every candidate range — committed heap runs, roots, stacks — is
+    // narrowed to its present-or-swapped pages in one pagemap pass:
+    // untouched pages read as zero and cannot hold pointers.
+    std::vector<Range> candidates = access_map_.committed_runs();
     for (const Range& r : roots_.roots())
-        sweep::append_resident_subranges(r, &ranges);
-    // Stacks are filtered to resident pages: untouched stack pages are
-    // all-zero and cannot hold pointers.
+        candidates.push_back(r);
     for (const Range& r : roots_.stacks())
-        sweep::append_resident_subranges(r, &ranges);
+        candidates.push_back(r);
     // Copy the provider under its lock: the shim may swap it while this
     // sweep is already running.
     std::function<std::vector<Range>()> provider;
@@ -344,9 +346,11 @@ MineSweeper::scan_ranges() const
                 }
             }
             if (!overlaps_internal)
-                sweep::append_resident_subranges(r, &ranges);
+                candidates.push_back(r);
         }
     }
+    std::vector<Range> ranges;
+    sweep::append_resident_subranges(candidates, &ranges);
     return ranges;
 }
 
@@ -421,12 +425,12 @@ MineSweeper::run_sweep()
             roots_.stop_world();
             std::vector<Range> rescan;
             tracker_->end_collect(rescan);
+            std::vector<Range> stw_roots = roots_.stacks_stw();
             if (!tracker_->tracks_arbitrary_memory()) {
                 for (const Range& r : roots_.roots_stw())
-                    sweep::append_resident_subranges(r, &rescan);
+                    stw_roots.push_back(r);
             }
-            for (const Range& r : roots_.stacks_stw())
-                sweep::append_resident_subranges(r, &rescan);
+            sweep::append_resident_subranges(stw_roots, &rescan);
             for (const Range& r : roots_.parked_registers())
                 rescan.push_back(r);
             const MarkStats ms2 = marker_.mark_ranges(rescan,
@@ -458,16 +462,21 @@ MineSweeper::run_sweep()
                                      drain_ns);
 
     // Phase 3: walk the locked-in quarantine; release unmarked entries.
-    std::vector<Entry> failed;
+    // Each worker collects the releasable entries of each ticket and
+    // hands them back in one Reclaimer::release_entries() call (one bin
+    // lock per slab); tallies stay worker-local until the join.
+    struct WorkerTally {
+        std::vector<Entry> failed;
+        std::uint64_t released = 0;
+        std::uint64_t released_bytes = 0;
+        std::uint64_t failed_count = 0;
+        std::uint64_t fill_checks = 0;
+        std::uint64_t fill_violations = 0;
+    };
     const unsigned nworkers =
         workers_ != nullptr ? workers_->count() : 1;
-    std::vector<std::vector<Entry>> failed_per_worker(nworkers);
+    std::vector<WorkerTally> tallies(nworkers);
     std::atomic<std::size_t> next{0};
-    std::atomic<std::uint64_t> released_count{0};
-    std::atomic<std::uint64_t> released_bytes{0};
-    std::atomic<std::uint64_t> failed_count{0};
-    std::atomic<std::uint64_t> fill_checks{0};
-    std::atomic<std::uint64_t> fill_violations{0};
 
     // Hardened policy: audit the quarantine fill of every entry about to
     // be released. A byte that changed while the block sat unreferenced
@@ -482,7 +491,9 @@ MineSweeper::run_sweep()
         // *calling* thread, which for emergency and watchdog-fallback
         // sweeps is a mutator whose own watchdog checks must survive.
         SweepController::ScopedSweepContext scoped;
-        constexpr std::size_t kBatch = 64;
+        WorkerTally t;
+        constexpr std::size_t kBatch = alloc::JadeAllocator::kBatchWindow;
+        Entry releasable[kBatch];
         for (;;) {
             // msw-relaxed(work-cursor): batch ticket; only RMW
             // atomicity matters, entries are read-only here.
@@ -492,52 +503,42 @@ MineSweeper::run_sweep()
                 break;
             const std::size_t end =
                 std::min(start + kBatch, locked_in.size());
+            std::size_t nreleasable = 0;
             for (std::size_t i = start; i < end; ++i) {
                 const Entry& e = locked_in[i];
                 const bool marked =
                     opts_.sweep_enabled &&
                     mark_bits_.test_range(e.real_base(), e.usable);
                 if (marked) {
-                    // msw-relaxed(stat-cells): sweep tally; the join
-                    // below publishes it to the reader.
-                    failed_count.fetch_add(1, std::memory_order_relaxed);
+                    ++t.failed_count;
                     if (opts_.keep_failed) {
-                        failed_per_worker[index].push_back(e);
+                        t.failed.push_back(e);
                         continue;
                     }
                 }
                 if (check_fill != nullptr && !e.unmapped) {
-                    // msw-relaxed(stat-cells): sweep tally; the join
-                    // below publishes it to the reader.
-                    fill_checks.fetch_add(1, std::memory_order_relaxed);
+                    ++t.fill_checks;
                     const void* bad = check_fill(to_ptr(e.real_base()),
                                                  e.usable);
                     if (bad != nullptr) {
-                        // msw-relaxed(stat-cells): sweep tally; the
-                        // join below publishes it to the reader.
-                        fill_violations.fetch_add(
-                            1, std::memory_order_relaxed);
+                        ++t.fill_violations;
                         alloc::policy_violation(
                             "quarantined memory tampered before release",
                             bad);
                     }
                 }
-                if (!reclaimer_.release_entry(e)) {
-                    // Could not restore access under pressure: keep the
-                    // entry quarantined; a later sweep retries.
-                    // msw-relaxed(stat-cells): sweep tally; the join
-                    // below publishes it to the reader.
-                    failed_count.fetch_add(1, std::memory_order_relaxed);
-                    failed_per_worker[index].push_back(e);
-                    continue;
-                }
-                // msw-relaxed(stat-cells): sweep tallies; the join
-                // below publishes them to the reader.
-                released_count.fetch_add(1, std::memory_order_relaxed);
-                released_bytes.fetch_add(e.usable,
-                                         std::memory_order_relaxed);
+                releasable[nreleasable++] = e;
             }
+            // Entries whose access could not be restored under pressure
+            // stay quarantined; a later sweep retries.
+            const std::size_t stuck = t.failed.size();
+            const Reclaimer::ReleaseTally r = reclaimer_.release_entries(
+                releasable, nreleasable, &t.failed);
+            t.failed_count += t.failed.size() - stuck;
+            t.released += r.entries;
+            t.released_bytes += r.bytes;
         }
+        tallies[index] = std::move(t);
     };
     const std::uint64_t release_t0 = monotonic_ns();
     if (workers_ != nullptr)
@@ -547,28 +548,25 @@ MineSweeper::run_sweep()
     const std::uint64_t release_ns = monotonic_ns() - release_t0;
     stats_.add(Stat::kPhaseReleaseNs, release_ns);
 
-    for (auto& fv : failed_per_worker)
-        failed.insert(failed.end(), fv.begin(), fv.end());
-
-    // msw-relaxed(stat-cells): tallies read after the worker join,
-    // which publishes every worker's writes.
-    const std::uint64_t released_n =
-        released_count.load(std::memory_order_relaxed);
+    // The worker join published every worker's tally.
+    std::vector<Entry> failed;
+    WorkerTally sum;
+    for (WorkerTally& t : tallies) {
+        failed.insert(failed.end(), t.failed.begin(), t.failed.end());
+        sum.released += t.released;
+        sum.released_bytes += t.released_bytes;
+        sum.failed_count += t.failed_count;
+        sum.fill_checks += t.fill_checks;
+        sum.fill_violations += t.fill_violations;
+    }
+    const std::uint64_t released_n = sum.released;
     metrics::telemetry().trace_event(metrics::TraceEvent::kPhaseRelease,
                                      release_ns, released_n);
     stats_.add(Stat::kEntriesReleased, released_n);
-    // msw-relaxed(stat-cells): as above — post-join read.
-    stats_.add(Stat::kBytesReleased,
-               released_bytes.load(std::memory_order_relaxed));
-    // msw-relaxed(stat-cells): as above — post-join read.
-    stats_.add(Stat::kFailedFrees,
-               failed_count.load(std::memory_order_relaxed));
-    // msw-relaxed(stat-cells): as above — post-join read.
-    stats_.add(Stat::kSweepFillChecks,
-               fill_checks.load(std::memory_order_relaxed));
-    // msw-relaxed(stat-cells): as above — post-join read.
-    stats_.add(Stat::kCanaryViolations,
-               fill_violations.load(std::memory_order_relaxed));
+    stats_.add(Stat::kBytesReleased, sum.released_bytes);
+    stats_.add(Stat::kFailedFrees, sum.failed_count);
+    stats_.add(Stat::kSweepFillChecks, sum.fill_checks);
+    stats_.add(Stat::kCanaryViolations, sum.fill_violations);
     mark_bits_.clear_marks();
     quarantine_.store_failed(std::move(failed));
 

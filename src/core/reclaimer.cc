@@ -98,9 +98,9 @@ Reclaimer::drain_pending_locked()
         if (quarantine_bitmap_->test(e.real_base())) {
             if (!unmap_entry(e.real_base(), e.usable)) {
                 // Transient decommit failure: the entry simply keeps its
-                // pages while quarantined. release_entry()'s protect_rw
-                // and access-map restore are idempotent, so the stale
-                // unmapped flag is harmless.
+                // pages (and access-map bits) while quarantined;
+                // release_entries() sees the bits and hands it back
+                // committed, so the stale unmapped flag is harmless.
                 MSW_LOG_DEBUG("deferred unmap of %zu bytes skipped",
                               e.usable);
             }
@@ -154,19 +154,48 @@ Reclaimer::child_after_fork() MSW_NO_THREAD_SAFETY_ANALYSIS
     unmap_lock_.unlock();
 }
 
-bool
-Reclaimer::release_entry(const Entry& entry)
+Reclaimer::ReleaseTally
+Reclaimer::release_entries(const Entry* entries, std::size_t n,
+                           std::vector<Entry>* failed)
 {
-    if (entry.unmapped) {
-        // Restore access before handing the range back; physical pages
-        // refault as zeros, so the memory win persists until reuse.
-        if (!protect_rw_with_retry(entry.real_base(), entry.usable))
-            return false;
-        access_map_->set_range(entry.real_base(), entry.usable);
+    ReleaseTally tally;
+    void* mapped[alloc::JadeAllocator::kBatchWindow];
+    std::size_t nmapped = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const Entry& e = entries[i];
+        if (e.unmapped && !access_map_->test(e.real_base())) {
+            // Decommitted at free or at the deferred drain: hand the
+            // range back in that state. Reuse commits it; purge_all()
+            // has nothing left to do for it.
+            quarantine_bitmap_->clear(e.real_base());
+            jade_->free_decommitted(to_ptr(e.real_base()));
+        } else {
+            // A failed deferred decommit leaves Entry::unmapped set on
+            // pages that kept their backing and their access-map bits.
+            // Its mprotect may have failed part-way, so restore access
+            // (idempotent) before the block can be reissued.
+            if (e.unmapped &&
+                !protect_rw_with_retry(e.real_base(), e.usable)) {
+                failed->push_back(e);
+                continue;
+            }
+            // The bit clears before the block can be reissued, so a
+            // reissued block's free starts a fresh quarantine entry.
+            quarantine_bitmap_->clear(e.real_base());
+            mapped[nmapped++] = to_ptr(e.real_base());
+            if (nmapped == alloc::JadeAllocator::kBatchWindow) {
+                jade_->free_direct_batch(mapped, nmapped);
+                nmapped = 0;
+            }
+        }
+        ++tally.entries;
+        tally.bytes += e.usable;
     }
-    quarantine_bitmap_->clear(entry.real_base());
-    jade_->free_direct(to_ptr(entry.real_base()));
-    return true;
+    jade_->free_direct_batch(mapped, nmapped);
+    // The sweeper's stack is a scan root in the self-hosted deployment:
+    // leave no raw block addresses behind for the next sweep to pin.
+    explicit_bzero(mapped, sizeof(mapped));
+    return tally;
 }
 
 bool

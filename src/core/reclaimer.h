@@ -10,9 +10,9 @@
  *    vanished mid-scan;
  *  - the deferred pending-unmap queue and its drain points (after the
  *    mark phase and at scan end);
- *  - entry release after a successful sweep: restore page access for
- *    unmapped entries (bounded protect_rw retry), clear the quarantine
- *    bit, hand the block back to the substrate.
+ *  - entry release after a successful sweep: clear the quarantine bit
+ *    and hand the block back to the substrate — decommitted large
+ *    ranges as they are, the rest one bin lock per slab.
  *
  * Every failure path degrades instead of aborting: a refused decommit
  * downgrades the entry to mapped-and-zeroed (a bounded leak with correct
@@ -87,12 +87,25 @@ class Reclaimer
         return scan_active_.load(std::memory_order_acquire);
     }
 
+    /** What one release_entries() call handed back. */
+    struct ReleaseTally {
+        std::uint64_t entries = 0;
+        std::uint64_t bytes = 0;
+    };
+
     /**
-     * Release a proven-safe entry back to the substrate. False if page
-     * access could not be restored under pressure: the caller keeps the
-     * entry quarantined and a later sweep retries.
+     * Release proven-safe entries back to the substrate, in @p entries'
+     * order. An unmapped entry whose pages really are decommitted (its
+     * access-map bit is clear) goes back as it is, decommitted; one whose
+     * deferred decommit failed is still committed and goes back like a
+     * mapped entry. Mapped entries return through one bin lock per slab
+     * (JadeAllocator::free_direct_batch). An entry whose page access
+     * cannot be restored under pressure is appended to @p failed: the
+     * caller keeps it quarantined and a later sweep retries.
      */
-    [[nodiscard]] bool release_entry(const quarantine::Entry& entry);
+    ReleaseTally release_entries(const quarantine::Entry* entries,
+                                 std::size_t n,
+                                 std::vector<quarantine::Entry>* failed);
 
     /** Decommit + unmap-account one entry's pages. */
     [[nodiscard]] bool unmap_entry(std::uintptr_t base, std::size_t usable);

@@ -265,6 +265,7 @@ SweepController::run_sweep_now()
             return false;
         }
         sweep_requested_ = false;
+        ++sweeps_started_;
         // msw-relaxed(sweeper-token): heartbeat clear under sweep_mu_.
         sweep_request_ns_.store(0, std::memory_order_relaxed);
     }
@@ -399,10 +400,9 @@ SweepController::force_sweep()
             control_waiters_.fetch_sub(1, std::memory_order_release);
             return;
         }
-        // msw-relaxed(sweeper-token): read under sweep_mu_, which
-        // every writer of the sweep counter also holds.
-        const std::uint64_t target =
-            sweeps_done_.load(std::memory_order_relaxed) + 1;
+        // Sweeps finish in the order they start, so once sweeps_done_
+        // reaches this, a sweep that began after this call has finished.
+        const std::uint64_t target = sweeps_started_ + 1;
         sweep_requested_ = true;
         // msw-relaxed(sweeper-token): heartbeat stamp under sweep_mu_;
         // the unlocked watchdog read tolerates one period of staleness.
@@ -508,6 +508,7 @@ SweepController::sweeper_loop()
             continue;
         }
         sweep_requested_ = false;
+        ++sweeps_started_;
         // Heartbeat: the request is being served, so the sweeper is
         // alive again — clear the stall latch.
         // msw-relaxed(sweeper-token): written under sweep_mu_; the

@@ -206,6 +206,11 @@ class SweepController
     std::condition_variable_any sweep_cv_;
     std::condition_variable_any sweep_done_cv_;
     bool sweep_requested_ MSW_GUARDED_BY(sweep_mu_) = false;
+    /** Sweeps that have begun: counted where a sweep claims the request
+     *  (clears sweep_requested_), so force_sweep() can wait for one that
+     *  started after its call rather than for an in-flight one whose mark
+     *  phase may predate the caller's changes. */
+    std::uint64_t sweeps_started_ MSW_GUARDED_BY(sweep_mu_) = 0;
     bool shutdown_ MSW_GUARDED_BY(sweep_mu_) = false;
     /** prepare_fork() claimed sweep_in_progress_; the after-fork hooks
      *  must release it. Written only with sweep_mu_ held. */

@@ -10,7 +10,9 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -136,22 +138,35 @@ class PageAccessMap
     {
         MSW_DCHECK(is_aligned(addr, vm::kPageSize));
         MSW_DCHECK(is_aligned(len, vm::kPageSize));
+        if (len == 0)
+            return;
+        // One RMW per 64-page word; the bits that actually flipped
+        // (popcount of old vs. mask) keep the page count exact under
+        // overlapping or repeated updates.
         const std::size_t first = page_index(addr);
-        const std::size_t count = len >> vm::kPageShift;
+        const std::size_t end = first + (len >> vm::kPageShift);
         std::int64_t delta = 0;
-        for (std::size_t p = first; p < first + count; ++p) {
+        for (std::size_t p = first; p < end;) {
+            const unsigned lo = p % 64;
+            const std::size_t n = std::min<std::size_t>(64 - lo, end - p);
+            const std::uint64_t mask =
+                (n == 64 ? ~std::uint64_t{0}
+                         : (std::uint64_t{1} << n) - 1)
+                << lo;
             auto* word = &words_[p / 64];
-            const std::uint64_t bit = std::uint64_t{1} << (p % 64);
-            const std::uint64_t old =
+            if (set) {
                 // msw-relaxed(page-map): bit flips need only RMW
                 // atomicity; the VM layer orders commit vs. access.
-                set ? word->fetch_or(bit, std::memory_order_relaxed)
-                    : word->fetch_and(~bit, std::memory_order_relaxed);
-            const bool was_set = (old & bit) != 0;
-            if (set && !was_set)
-                ++delta;
-            else if (!set && was_set)
-                --delta;
+                const std::uint64_t old =
+                    word->fetch_or(mask, std::memory_order_relaxed);
+                delta += std::popcount(~old & mask);
+            } else {
+                // msw-relaxed(page-map): as above — RMW atomicity only.
+                const std::uint64_t old =
+                    word->fetch_and(~mask, std::memory_order_relaxed);
+                delta -= std::popcount(old & mask);
+            }
+            p += n;
         }
         // msw-relaxed(page-map): statistics counter; needs no ordering.
         committed_pages_.fetch_add(delta, std::memory_order_relaxed);

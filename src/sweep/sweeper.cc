@@ -1,9 +1,6 @@
 #include "sweep/sweeper.h"
 
-#include <sys/mman.h>
-
 #include <algorithm>
-#include <cstring>
 #include <ctime>
 #include <new>
 
@@ -154,56 +151,6 @@ chunk_ranges(const std::vector<Range>& ranges, std::size_t chunk_bytes)
             chunks.push_back(Range{base, left});
     }
     return chunks;
-}
-
-void
-append_resident_subranges(const Range& range, std::vector<Range>* out)
-{
-    const std::uintptr_t lo = align_down(range.base, vm::kPageSize);
-    const std::uintptr_t hi = align_up(range.end(), vm::kPageSize);
-    if (lo >= hi)
-        return;
-    const std::size_t pages = (hi - lo) >> vm::kPageShift;
-    std::vector<Range> resident;
-    // mincore in bounded batches to keep the vec buffer small.
-    constexpr std::size_t kBatch = 4096;
-    unsigned char vec[kBatch];
-    Range run{};
-    for (std::size_t first = 0; first < pages; first += kBatch) {
-        const std::size_t count = std::min(kBatch, pages - first);
-        const std::uintptr_t addr = lo + (first << vm::kPageShift);
-        if (::mincore(to_ptr(addr), count << vm::kPageShift, vec) != 0) {
-            // Unqueryable (e.g. unmapped): treat as resident so nothing
-            // is silently skipped; scan_chunk reads what it can.
-            std::memset(vec, 1, count);
-        }
-        for (std::size_t i = 0; i < count; ++i) {
-            const std::uintptr_t page = addr + (i << vm::kPageShift);
-            if (vec[i] & 1) {
-                if (run.len != 0 && run.end() == page) {
-                    run.len += vm::kPageSize;
-                } else {
-                    if (run.len != 0)
-                        resident.push_back(run);
-                    run = Range{page, vm::kPageSize};
-                }
-            } else if (run.len != 0) {
-                resident.push_back(run);
-                run = Range{};
-            }
-        }
-    }
-    if (run.len != 0)
-        resident.push_back(run);
-    // Clip to the original (possibly unaligned) bounds and append.
-    for (Range r : resident) {
-        const std::uintptr_t clip_lo =
-            r.base > range.base ? r.base : range.base;
-        const std::uintptr_t clip_hi =
-            r.end() < range.end() ? r.end() : range.end();
-        if (clip_lo < clip_hi)
-            out->push_back(Range{clip_lo, clip_hi - clip_lo});
-    }
 }
 
 void

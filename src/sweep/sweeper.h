@@ -142,15 +142,6 @@ class Marker
 std::vector<Range> chunk_ranges(const std::vector<Range>& ranges,
                                 std::size_t chunk_bytes);
 
-/**
- * Restrict @p range to its OS-resident pages (via mincore). Scanning an
- * 8 MiB thread stack would otherwise fault in every untouched page on
- * every sweep; non-resident anonymous pages are all-zero and cannot hold
- * pointers, so skipping them is exact, not approximate.
- */
-void append_resident_subranges(const Range& range,
-                               std::vector<Range>* out);
-
 /** Thread CPU time of the calling thread in nanoseconds. */
 std::uint64_t thread_cpu_ns();
 

@@ -208,6 +208,52 @@ TEST(ExtentHooksTest, HooksObserveCommitAndPurge)
     EXPECT_EQ(hooks.commits, 2);
 }
 
+TEST(ExtentHooksTest, DecommittedFreeStaysUncommittedAndMerges)
+{
+    ExtentAllocator ea(kHeapBytes, 0);
+    HookRecorder hooks(&ea.reservation());
+    ea.set_hooks(&hooks);
+    ExtentMeta* a = ea.alloc_extent(4, ExtentKind::kLarge);
+    ExtentMeta* b = ea.alloc_extent(8, ExtentKind::kLarge);
+    ExtentMeta* c = ea.alloc_extent(2, ExtentKind::kLarge);
+    ExtentMeta* guard = ea.alloc_extent(1, ExtentKind::kLarge);
+    ASSERT_EQ(b->base, a->end());
+    ASSERT_EQ(c->base, b->end());
+    ASSERT_EQ(guard->base, c->end());
+    const std::uintptr_t base = a->base;
+    const auto pages = [](std::size_t n) { return n * vm::kPageSize; };
+    EXPECT_EQ(ea.stats().committed_bytes, pages(15));
+
+    // Left neighbour: freed committed, then purged.
+    ea.free_extent(a);
+    ea.purge_all();
+    EXPECT_EQ(hooks.purges, 1);
+    EXPECT_EQ(ea.stats().committed_bytes, pages(11));
+
+    // The caller decommits b itself (as quarantine unmapping does) and
+    // hands it back in that state: committed bytes drop exactly once.
+    ASSERT_EQ(ea.reservation().decommit(b->base, b->bytes()),
+              vm::VmStatus::kOk);
+    ea.free_extent_decommitted(b);
+    EXPECT_EQ(ea.stats().committed_bytes, pages(3));
+    // Right neighbour stays committed: mixed states do not merge.
+    ea.free_extent(c);
+    EXPECT_EQ(ea.stats().committed_bytes, pages(3));
+    // The post-sweep purge has only c left to do.
+    ea.purge_all();
+    EXPECT_EQ(hooks.purges, 2);
+    EXPECT_EQ(ea.stats().committed_bytes, pages(1));
+
+    // a and b merged into one uncommitted 12-page hole; reuse commits it.
+    ExtentMeta* d = ea.alloc_extent(12, ExtentKind::kLarge);
+    EXPECT_EQ(d->base, base);
+    EXPECT_EQ(hooks.commits, 5);
+    EXPECT_EQ(ea.stats().committed_bytes, pages(13));
+    auto* p = reinterpret_cast<unsigned char*>(d->base);
+    EXPECT_EQ(p[pages(6)], 0u);
+    p[pages(6)] = 1;  // writable again
+}
+
 TEST(ExtentDecayTest, DecayPurgesOldFreeExtents)
 {
     ExtentAllocator ea(kHeapBytes, /*decay_ms=*/1);

@@ -250,6 +250,107 @@ TEST_F(JadeTest, SlabsAreReleasedWhenEmptied)
     EXPECT_LT(active_after, active_peak / 4);
 }
 
+/**
+ * One bin over its own extent allocator, three full slabs of 64-byte
+ * objects. release() frees a slab's slots [first, first+n) either one
+ * free_one() at a time or in one free_batch().
+ */
+struct BinRig {
+    ExtentAllocator ea{64 << 20, /*decay_ms=*/0};
+    Bin bin;
+    unsigned nslots = slab_slots(size_to_class(64));
+    std::vector<void*> objs;
+
+    BinRig()
+    {
+        bin.init(&ea, size_to_class(64), 0, nullptr);
+        objs.resize(3 * nslots);
+        EXPECT_EQ(bin.alloc_batch(objs.data(), 3 * nslots), 3 * nslots);
+    }
+
+    ExtentMeta*
+    slab(unsigned s)
+    {
+        return ea.lookup_live(to_addr(objs[s * nslots]));
+    }
+
+    void
+    release(unsigned s, unsigned first, unsigned n, bool batch)
+    {
+        ExtentMeta* meta = slab(s);
+        void* const* ptrs = &objs[s * nslots + first];
+        if (batch) {
+            bin.free_batch(meta, ptrs, n);
+        } else {
+            for (unsigned i = 0; i < n; ++i)
+                bin.free_one(ptrs[i], meta);
+        }
+    }
+
+    /** Offsets (from the heap base) of the next @p n allocations. */
+    std::vector<std::uintptr_t>
+    refill(unsigned n)
+    {
+        std::vector<void*> out(n);
+        EXPECT_EQ(bin.alloc_batch(out.data(), n), n);
+        std::vector<std::uintptr_t> offsets;
+        for (void* p : out)
+            offsets.push_back(to_addr(p) - ea.reservation().base());
+        return offsets;
+    }
+};
+
+TEST(BinTest, FreeBatchFollowsFreeOneSlabRules)
+{
+    BinRig one;
+    BinRig batch;
+    const std::size_t slab_bytes = one.slab(0)->bytes();
+    const std::size_t full = one.ea.stats().active_bytes;
+    ASSERT_EQ(batch.ea.stats().active_bytes, full);
+    for (BinRig* rig : {&one, &batch}) {
+        const bool b = rig == &batch;
+        // Slab 0 keeps one live slot: it rejoins the nonfull list.
+        rig->release(0, 1, rig->nslots - 1, b);
+        EXPECT_EQ(rig->slab(0)->used_slots, 1u);
+        // Slab 1 empties: it becomes the bin's cached empty slab.
+        rig->release(1, 0, rig->nslots, b);
+        EXPECT_EQ(rig->ea.stats().active_bytes, full);
+        // Slab 2 empties with a slab already cached: its extent goes.
+        ExtentMeta* s2 = rig->slab(2);
+        const std::uintptr_t s2_base = s2->base;
+        rig->release(2, 0, rig->nslots, b);
+        EXPECT_EQ(rig->ea.stats().active_bytes, full - slab_bytes);
+        EXPECT_EQ(rig->ea.lookup(s2_base), nullptr);
+    }
+    // Both bins then refill identically: slab 0's free slots first, then
+    // the cached slab.
+    EXPECT_EQ(one.refill(2 * one.nslots), batch.refill(2 * batch.nslots));
+    EXPECT_EQ(one.ea.stats().active_bytes, batch.ea.stats().active_bytes);
+}
+
+TEST_F(JadeTest, FreeDirectBatchKeepsStatsExact)
+{
+    std::vector<void*> ptrs;
+    for (int i = 0; i < 300; ++i)
+        ptrs.push_back(jade.alloc(i % 3 == 0 ? 40000 : 16 + (i % 7) * 48));
+    jade.flush();
+    const AllocatorStats before = jade.stats();
+    std::size_t bytes = 0;
+    for (void* p : ptrs)
+        bytes += jade.usable_size(p);
+    // Interleave slabs and large extents; the batch groups by slab.
+    jade.free_direct_batch(ptrs.data(), ptrs.size());
+    const AllocatorStats after = jade.stats();
+    EXPECT_EQ(after.free_calls - before.free_calls, ptrs.size());
+    EXPECT_EQ(before.live_bytes - after.live_bytes, bytes);
+    for (void* p : ptrs) {
+        JadeAllocator::AllocationInfo info;
+        if (jade.lookup_allocation(to_addr(p), &info)) {
+            EXPECT_FALSE(info.live);
+        }
+    }
+}
+
 TEST_F(JadeTest, RandomChurnMaintainsIntegrity)
 {
     // Property test: randomly allocate/free with canary values; canaries

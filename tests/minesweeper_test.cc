@@ -357,6 +357,60 @@ TEST_F(MineSweeperTest, DanglingPointerToUnmappedLargeStillPins)
     EXPECT_FALSE(ms.in_quarantine(p));
 }
 
+TEST_F(MineSweeperTest, ResidentScanSkipsUntouchedPagesButPins)
+{
+    if (::access("/proc/self/pagemap", R_OK) != 0)
+        GTEST_SKIP() << "/proc/self/pagemap unavailable";
+    // A live 1 MiB block whose only touched page is its last one, and
+    // the sole reference to a quarantined object lives there.
+    constexpr std::size_t kBlock = 1 << 20;
+    auto* block = static_cast<char*>(ms.alloc(kBlock));
+    void* victim = ms.alloc(64);
+    void** slot = reinterpret_cast<void**>(block + kBlock - 64);
+    *slot = victim;
+    ms.free(victim);
+    const std::uint64_t before = ms.sweep_stats().bytes_scanned;
+    ms.force_sweep();
+    EXPECT_TRUE(ms.in_quarantine(victim));
+    // The untouched pages read as zero and were not scanned.
+    EXPECT_LT(ms.sweep_stats().bytes_scanned - before, kBlock);
+    *slot = nullptr;
+    ms.force_sweep();
+    EXPECT_FALSE(ms.in_quarantine(victim));
+    ms.free(block);
+}
+
+TEST(MineSweeperUnmapping, DecommittedRangeGoesBackUncommitted)
+{
+    Options o = test_options();
+    // No post-sweep purge: whatever is decommitted after the sweep was
+    // handed back that way by the release itself.
+    o.purging = false;
+    MineSweeper ms(o);
+    constexpr std::size_t kBlock = 1 << 20;
+    void* p = ms.alloc(kBlock);
+    std::memset(p, 0x5a, kBlock);
+    const std::size_t committed = ms.substrate().stats().committed_bytes;
+    ms.free(p);
+    ms.force_sweep();
+    ASSERT_FALSE(ms.in_quarantine(p));
+    // The extent layer and the sweep's access map agree, and neither
+    // counts the released range.
+    const std::size_t extent_committed =
+        ms.substrate().stats().committed_bytes;
+    EXPECT_EQ(extent_committed, ms.stats().committed_bytes);
+    EXPECT_LE(extent_committed, committed - kBlock);
+    // Reuse commits it again: readable as zero, writable.
+    auto* q = static_cast<unsigned char*>(ms.alloc(kBlock));
+    ASSERT_NE(q, nullptr);
+    for (std::size_t off = 0; off < kBlock; off += vm::kPageSize)
+        ASSERT_EQ(q[off], 0u) << off;
+    std::memset(q, 1, kBlock);
+    EXPECT_EQ(ms.substrate().stats().committed_bytes,
+              ms.stats().committed_bytes);
+    ms.free(q);
+}
+
 // ------------------------------------------------------------- realloc
 
 TEST_F(MineSweeperTest, ReallocPreservesDataAndQuarantinesOld)

@@ -5,6 +5,7 @@
 // fatally by default, as counted events under MSW_POLICY_FATAL=0.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
@@ -145,6 +146,75 @@ TEST(Placement, HardenedThreadCacheReuseIsNotLifo)
     EXPECT_TRUE(deviated);
 }
 
+/**
+ * Slab refill order after a batched release in @p order: frees go
+ * through free_direct_batch (or one free_direct each when @p one_by_one),
+ * then as many allocations as frees report which of the three slabs
+ * (0, 1, 2 in allocation order) each came from.
+ */
+std::vector<int>
+refill_slabs(const std::vector<int>& order, bool one_by_one)
+{
+    JadeAllocator jade(substrate_options(hardened_policy(), false));
+    const unsigned nslots = slab_slots(size_to_class(64));
+    std::vector<void*> objs(3 * nslots);
+    for (void*& p : objs)
+        p = jade.alloc(64);
+    const auto slab_of = [&](void* p) {
+        for (int s = 0; s < 3; ++s) {
+            if (jade.extents().lookup_live(to_addr(p)) ==
+                jade.extents().lookup_live(to_addr(objs[s * nslots])))
+                return s;
+        }
+        return -1;
+    };
+    // Release the next unreleased object of slab `s` for each s in order.
+    std::vector<void*> batch;
+    unsigned next[3] = {0, 0, 0};
+    for (int s : order)
+        batch.push_back(objs[s * nslots + next[s]++]);
+    if (one_by_one) {
+        for (void* p : batch)
+            jade.free_direct(p);
+    } else {
+        jade.free_direct_batch(batch.data(), batch.size());
+    }
+    std::vector<int> refill;
+    for (std::size_t i = 0; i < batch.size(); ++i)
+        refill.push_back(slab_of(jade.alloc(64)));
+    return refill;
+}
+
+TEST(HardenedRelease, SlabRefillOrderFollowsTheShuffle)
+{
+    // Three full slabs under the hardened policy; the release order is
+    // the policy's own shuffle of two frees per slab. Batching groups
+    // frees by slab in order of first appearance, so the bins see full
+    // slabs rejoin their lists in the same order as one free at a time:
+    // the shuffle, not the addresses, decides which slab refills first.
+    std::vector<int> order = {0, 0, 1, 1, 2, 2};
+    std::vector<std::vector<int>> seen;
+    for (int round = 0; round < 16; ++round) {
+        hardened_policy().shuffle(order.data(), order.size(), sizeof(int));
+        const std::vector<int> batched = refill_slabs(order, false);
+        EXPECT_EQ(batched, refill_slabs(order, true));
+        // The most recently rejoined slab (last first appearance) is the
+        // nonfull list's head and refills first.
+        std::vector<int> firsts;
+        for (int s : order) {
+            if (std::find(firsts.begin(), firsts.end(), s) == firsts.end())
+                firsts.push_back(s);
+        }
+        const std::vector<int> expect = {firsts[2], firsts[2], firsts[1],
+                                         firsts[1], firsts[0], firsts[0]};
+        EXPECT_EQ(batched, expect);
+        if (std::find(seen.begin(), seen.end(), batched) == seen.end())
+            seen.push_back(batched);
+    }
+    // Different shuffles led to different refill orders.
+    EXPECT_GT(seen.size(), 1u);
+}
+
 }  // namespace
 }  // namespace msw::alloc
 
@@ -209,8 +279,10 @@ TEST(HardenedDeathTest, OverflowCanaryTripsAtFree)
             MineSweeper ms(hardened_options());
             char* p = static_cast<char*>(ms.alloc(40));
             // usable_size() excludes the reserved slack byte; writing it
-            // is a one-byte heap overflow onto the canary.
-            p[ms.usable_size(p)] = 0x77;
+            // is a one-byte heap overflow onto the canary. Flipping the
+            // armed byte's bits guarantees the value changes (a fixed
+            // constant would equal the canary now and then).
+            p[ms.usable_size(p)] ^= 0x5a;
             ms.free(p);
         },
         "allocation policy violation");
@@ -238,7 +310,7 @@ TEST(HardenedRuntime, NonFatalModeCountsViolations)
     MineSweeper ms(hardened_options());
     char* p = static_cast<char*>(ms.alloc(40));
     ASSERT_NE(p, nullptr);
-    p[ms.usable_size(p)] = 0x77;
+    p[ms.usable_size(p)] ^= 0x5a;  // overflow that surely changes it
     ms.free(p);
     EXPECT_EQ(ms.sweep_stats().canary_violations, 1u);
     EXPECT_EQ(unsetenv("MSW_POLICY_FATAL"), 0);

@@ -236,6 +236,57 @@ TEST_F(ResilienceTest, PendingUnmapOverflowFallsBackToZeroing)
         EXPECT_FALSE(ms.in_quarantine(p));
 }
 
+TEST_F(ResilienceTest, FailedDeferredDecommitReleasesCommitted)
+{
+    Options o = manual_sweep_options();
+    // No post-sweep purge: the released range's state is the release's.
+    o.purging = false;
+    MineSweeper ms(o);
+
+    constexpr std::size_t kLarge = 256 << 10;
+    auto* p = static_cast<unsigned char*>(ms.alloc(kLarge));
+    ASSERT_NE(p, nullptr);
+    std::memset(p, 0xee, kLarge);
+    const std::size_t committed = ms.substrate().stats().committed_bytes;
+
+    // Hold a sweep open so the free defers its decommit, and make every
+    // deferred decommit fail when the queue drains. (Armed before the
+    // sweep starts: nothing decommits until the drain.)
+    util::failpoint_arm(Failpoint::kVmDecommit, FailpointPolicy::prob(1.0));
+    util::failpoint_arm(Failpoint::kSweepDelay,
+                        FailpointPolicy::burst(2000));
+    std::thread sweeper([&] { ms.force_sweep(); });
+    ASSERT_TRUE(wait_until(
+        [] {
+            return util::failpoint_evaluations(Failpoint::kSweepDelay) > 0;
+        },
+        5000))
+        << "sweep never reached the delay hook";
+    const std::uint64_t unmapped_before =
+        ms.sweep_stats().unmapped_entries;
+    ms.free(p);
+    EXPECT_EQ(ms.sweep_stats().unmapped_entries - unmapped_before, 1u)
+        << "the free should have queued a deferred unmap";
+    util::failpoint_disarm(Failpoint::kSweepDelay);
+    sweeper.join();
+    EXPECT_GT(util::failpoint_hits(Failpoint::kVmDecommit), 0u);
+    util::failpoint_disarm(Failpoint::kVmDecommit);
+    ASSERT_TRUE(ms.in_quarantine(p));
+    // The entry kept its pages: still readable.
+    EXPECT_EQ(p[kLarge / 2], 0xee);
+
+    // Released with Entry::unmapped set on committed pages, the range
+    // goes back committed, and both ledgers still count it.
+    ms.force_sweep();
+    ASSERT_FALSE(ms.in_quarantine(p));
+    EXPECT_EQ(ms.substrate().stats().committed_bytes, committed);
+    EXPECT_EQ(ms.stats().committed_bytes, committed);
+    auto* q = static_cast<unsigned char*>(ms.alloc(kLarge));
+    ASSERT_NE(q, nullptr);
+    std::memset(q, 1, kLarge);
+    ms.free(q);
+}
+
 TEST_F(ResilienceTest, DestructorRacesInFlightForceSweep)
 {
     for (int round = 0; round < 3; ++round) {

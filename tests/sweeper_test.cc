@@ -1,12 +1,16 @@
 // Marker and worker-pool tests: pointer discovery in scanned ranges,
-// chunking, parallel dispatch, and the page-access map.
+// chunking, parallel dispatch, the page-access map, and the pagemap
+// residency filter.
 #include <gtest/gtest.h>
+
+#include <sys/mman.h>
 
 #include <atomic>
 #include <cstring>
 #include <vector>
 
 #include "sweep/page_access_map.h"
+#include "sweep/residency.h"
 #include "sweep/sweeper.h"
 #include "vm/vm.h"
 
@@ -215,6 +219,140 @@ TEST(PageAccessMapTest, IdempotentUpdatesKeepCountExact)
     map.clear_range(base, 2 * vm::kPageSize);
     map.clear_range(base, 2 * vm::kPageSize);  // again
     EXPECT_EQ(map.committed_bytes(), 2 * vm::kPageSize);
+
+    // Ranges straddling 64-page bitmap words, overlapping what is
+    // already set: only the bits that flip count.
+    const auto page = [&](std::size_t i) {
+        return base + i * vm::kPageSize;
+    };
+    map.clear_range(base, 4 * vm::kPageSize);
+    map.set_range(page(60), 10 * vm::kPageSize);  // 60..69
+    EXPECT_EQ(map.committed_bytes(), 10 * vm::kPageSize);
+    map.set_range(page(50), 150 * vm::kPageSize);  // 50..199, 3 words
+    EXPECT_EQ(map.committed_bytes(), 150 * vm::kPageSize);
+    map.set_range(page(64), 64 * vm::kPageSize);  // one exact word, again
+    EXPECT_EQ(map.committed_bytes(), 150 * vm::kPageSize);
+    map.clear_range(page(63), 66 * vm::kPageSize);  // 63..128
+    EXPECT_EQ(map.committed_bytes(), 84 * vm::kPageSize);
+    map.clear_range(page(63), 66 * vm::kPageSize);  // again
+    EXPECT_EQ(map.committed_bytes(), 84 * vm::kPageSize);
+    EXPECT_TRUE(map.test(page(62)));
+    EXPECT_FALSE(map.test(page(63)));
+    EXPECT_FALSE(map.test(page(128)));
+    EXPECT_TRUE(map.test(page(129)));
+    const auto runs = map.committed_runs();
+    ASSERT_EQ(runs.size(), 2u);
+    EXPECT_EQ(runs[0].base, page(50));
+    EXPECT_EQ(runs[0].len, 13 * vm::kPageSize);
+    EXPECT_EQ(runs[1].base, page(129));
+    EXPECT_EQ(runs[1].len, 71 * vm::kPageSize);
+    map.clear_range(base, 256 * vm::kPageSize);
+    EXPECT_EQ(map.committed_bytes(), 0u);
+}
+
+// ------------------------------------------------------------ residency
+
+/** Synthetic pagemap: one word per page of a fake address space. */
+struct FakePagemap {
+    std::uintptr_t base = 0;
+    std::vector<std::uint64_t> words;
+    bool fail = false;
+
+    static std::size_t
+    read(void* ctx, std::uintptr_t page, std::uint64_t* out,
+         std::size_t count)
+    {
+        auto* self = static_cast<FakePagemap*>(ctx);
+        if (self->fail)
+            return 0;
+        for (std::size_t i = 0; i < count; ++i) {
+            const std::size_t idx = ((page - self->base) >> vm::kPageShift) + i;
+            out[i] = idx < self->words.size() ? self->words[idx] : 0;
+        }
+        return count;
+    }
+};
+
+TEST(Residency, KeepsPresentAndSwappedPagesOnly)
+{
+    FakePagemap pm;
+    pm.base = std::uintptr_t{1} << 40;
+    pm.words.assign(16, 0);
+    pm.words[1] = kPagemapPresent | 0x1234;  // present (PFN bits ignored)
+    pm.words[2] = kPagemapSwapped;          // swapped out: still data
+    pm.words[3] = kPagemapPresent;
+    pm.words[6] = std::uint64_t{1} << 55;   // soft-dirty only: neither
+    pm.words[9] = kPagemapSwapped;
+    std::vector<Range> out;
+    append_resident_subranges({Range{pm.base, 16 * vm::kPageSize}},
+                              &FakePagemap::read, &pm, &out);
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0].base, pm.base + vm::kPageSize);
+    EXPECT_EQ(out[0].len, 3 * vm::kPageSize);
+    EXPECT_EQ(out[1].base, pm.base + 9 * vm::kPageSize);
+    EXPECT_EQ(out[1].len, vm::kPageSize);
+}
+
+TEST(Residency, ClipsToUnalignedBounds)
+{
+    FakePagemap pm;
+    pm.base = std::uintptr_t{1} << 40;
+    pm.words.assign(8, kPagemapPresent);
+    pm.words[4] = 0;
+    std::vector<Range> out;
+    append_resident_subranges(
+        {Range{pm.base + 100, vm::kPageSize},
+         Range{pm.base + 3 * vm::kPageSize + 8, 3 * vm::kPageSize}},
+        &FakePagemap::read, &pm, &out);
+    ASSERT_EQ(out.size(), 3u);
+    EXPECT_EQ(out[0].base, pm.base + 100);
+    EXPECT_EQ(out[0].len, vm::kPageSize);
+    EXPECT_EQ(out[1].base, pm.base + 3 * vm::kPageSize + 8);
+    EXPECT_EQ(out[1].end(), pm.base + 4 * vm::kPageSize);
+    EXPECT_EQ(out[2].base, pm.base + 5 * vm::kPageSize);
+    EXPECT_EQ(out[2].end(), pm.base + 6 * vm::kPageSize + 8);
+}
+
+TEST(Residency, UnreadablePagemapKeepsEveryPage)
+{
+    FakePagemap pm;
+    pm.base = std::uintptr_t{1} << 40;
+    pm.fail = true;
+    std::vector<Range> out;
+    append_resident_subranges({Range{pm.base, 4 * vm::kPageSize}},
+                              &FakePagemap::read, &pm, &out);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].base, pm.base);
+    EXPECT_EQ(out[0].len, 4 * vm::kPageSize);
+}
+
+TEST(Residency, RealPagemapSeesTouchedPagesOnly)
+{
+    constexpr std::size_t kPages = 16;
+    vm::Reservation r = vm::Reservation::reserve(kPages * vm::kPageSize);
+    r.commit_must(r.base(), r.size());
+    const Range all{r.base(), r.size()};
+    std::vector<Range> out;
+    sweep::append_resident_subranges({all}, &out);
+    if (out.size() == 1 && out[0].len == r.size())
+        GTEST_SKIP() << "/proc/self/pagemap unavailable";
+    EXPECT_TRUE(out.empty());
+    static_cast<volatile char*>(to_ptr(r.base()))[vm::kPageSize] = 1;
+    static_cast<volatile char*>(to_ptr(r.base()))[5 * vm::kPageSize] = 1;
+    // With the upper half unmapped, mincore fails for the whole range;
+    // pagemap still finds the touched pages and reads the hole as absent.
+    for (bool hole : {false, true}) {
+        if (hole)
+            ::munmap(to_ptr(r.base() + 8 * vm::kPageSize),
+                     8 * vm::kPageSize);
+        out.clear();
+        sweep::append_resident_subranges({all}, &out);
+        ASSERT_EQ(out.size(), 2u) << hole;
+        EXPECT_EQ(out[0].base, r.base() + vm::kPageSize);
+        EXPECT_EQ(out[0].len, vm::kPageSize);
+        EXPECT_EQ(out[1].base, r.base() + 5 * vm::kPageSize);
+        EXPECT_EQ(out[1].len, vm::kPageSize);
+    }
 }
 
 }  // namespace
