@@ -5,6 +5,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include "sweep/dirty_tracker.h"
@@ -19,6 +20,16 @@ struct Backend {
     std::function<std::unique_ptr<DirtyTracker>(const vm::Reservation*)>
         make;
 };
+
+// Without this gtest prints a Backend as its raw bytes, which hold heap
+// and code addresses; the printed value ends up in the discovered ctest
+// name, so the name would change from one build (and one ASLR layout) to
+// the next.
+void
+PrintTo(const Backend& backend, std::ostream* os)
+{
+    *os << backend.name;
+}
 
 std::vector<Backend>
 available_backends()
