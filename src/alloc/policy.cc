@@ -1,5 +1,6 @@
 #include "alloc/policy.h"
 
+#include <sys/random.h>
 #include <unistd.h>
 
 #include <bit>
@@ -18,16 +19,39 @@ namespace msw::alloc {
 namespace {
 
 /**
- * Address-keyed tail byte shared by the allocation canary and the
- * quarantine fill: odd (never zero, so it is distinguishable from the
- * zero fill and a zeroing overflow trips it) and derived from the slot
- * address so a constant spray forged for one slot fails on another.
+ * Per-process canary key, drawn once when the hardened policy is first
+ * resolved (S2malloc-style): knowing a heap address does not let an
+ * attacker compute its canary. A fork child inherits it with the heap
+ * whose canaries it keys.
+ */
+std::uint64_t g_canary_secret = 0;
+
+void
+draw_canary_secret()
+{
+    // getrandom is a plain syscall (no allocation), so this is safe
+    // during LD_PRELOAD bootstrap; the clock-seeded engine covers a
+    // kernel that refuses it.
+    std::uint64_t secret = 0;
+    if (::getrandom(&secret, sizeof(secret), GRND_NONBLOCK) !=
+        static_cast<ssize_t>(sizeof(secret))) {
+        secret = thread_rng().next_u64();
+    }
+    g_canary_secret = secret;
+}
+
+/**
+ * Keyed tail byte shared by the allocation canary and the quarantine
+ * fill: odd (never zero, so it is distinguishable from the zero fill and
+ * a zeroing overflow trips it) and a keyed hash of the slot address, so
+ * a constant spray forged for one slot fails on another.
  */
 unsigned char
 tail_byte(std::uintptr_t base)
 {
-    return static_cast<unsigned char>(
-        ((base >> 4) ^ (base >> 12) ^ 0xa5u) | 0x01u);
+    const std::uint64_t h =
+        ((base >> 4) ^ g_canary_secret) * 0x9e3779b97f4a7c15ull;
+    return static_cast<unsigned char>((h >> 56) | 0x01u);
 }
 
 // ---------------------------------------------------- hardened hooks
@@ -128,6 +152,9 @@ default_policy()
 const AllocPolicy&
 hardened_policy()
 {
+    // Every hook that reads the canary key is reached through this
+    // table, so drawing the key here orders it before any use.
+    [[maybe_unused]] static const bool keyed = (draw_canary_secret(), true);
     static constexpr AllocPolicy policy{
         .name = "hardened",
         .choose_slot = &hardened_choose_slot,
@@ -139,6 +166,12 @@ hardened_policy()
         .shuffle = &hardened_shuffle,
     };
     return policy;
+}
+
+void
+redraw_canary_secret_for_testing()
+{
+    draw_canary_secret();
 }
 
 const AllocPolicy*

@@ -19,10 +19,12 @@
  * The hardened policy (S2malloc/FreeGuard-style) fills every hook:
  *  - randomized in-slab slot placement and randomized thread-cache
  *    reuse order (breaks heap-layout grooming);
- *  - an address-keyed canary in the reserved tail byte of every
- *    allocation (the +1 end-pointer slack byte the quarantine runtime
- *    never reports as usable), checked at free() — a one-byte-or-more
- *    heap overflow is caught at the latest when the block is freed;
+ *  - a canary in the reserved tail byte of every allocation (the +1
+ *    end-pointer slack byte the quarantine runtime never reports as
+ *    usable), keyed by the slot address and a per-process secret drawn
+ *    when the policy is first resolved, checked at free() — a
+ *    one-byte-or-more heap overflow is caught at the latest when the
+ *    block is freed;
  *  - a verified quarantine fill: freed blocks are zeroed (preserving
  *    the §4.1 unpinning semantics) with the tail canary re-armed, and
  *    the sweep re-validates the whole fill before releasing an entry,
@@ -101,6 +103,12 @@ const AllocPolicy& default_policy();
 
 /** S2malloc/FreeGuard-style hardened policy (see file comment). */
 const AllocPolicy& hardened_policy();
+
+/**
+ * Test hook: draw a fresh canary secret. Canaries armed before the call
+ * no longer verify, so only a test with no live hardened heap may use it.
+ */
+void redraw_canary_secret_for_testing();
 
 /** Policy for @p name, or null if unknown. Null name = default. */
 const AllocPolicy* policy_by_name(const char* name);

@@ -179,9 +179,8 @@ void
 MarkUs::run_mark()
 {
     reclaimer_.begin_scan();
-    std::vector<Entry> locked_in;
-    quarantine_.lock_in(locked_in);
-    if (locked_in.empty()) {
+    quarantine_.lock_in(locked_in_);
+    if (locked_in_.empty()) {
         reclaimer_.end_scan();
         return;
     }
@@ -189,7 +188,7 @@ MarkUs::run_mark()
     const std::uint64_t cpu0 = sweep::thread_cpu_ns();
     const std::uint64_t mark_t0 = core::monotonic_ns();
     metrics::telemetry().trace_event(metrics::TraceEvent::kSweepBegin,
-                                     locked_in.size());
+                                     locked_in_.size());
 
     // Phase 1a (dirty-scan): arm the write tracker.
     tracker_->begin(access_map_.committed_runs());
@@ -251,7 +250,7 @@ MarkUs::run_mark()
     const std::uint64_t release_t0 = core::monotonic_ns();
     std::vector<Entry> failed;
     std::vector<Entry> releasable;
-    for (const Entry& e : locked_in) {
+    for (const Entry& e : locked_in_) {
         if (mark_bits_.test(e.real_base()))
             failed.push_back(e);
         else

@@ -372,9 +372,8 @@ MineSweeper::run_sweep()
     // the concurrent free()/deferred-unmap machinery deterministically.
     while (failpoint_should_fail(Failpoint::kSweepDelay))
         ::usleep(1000);
-    std::vector<Entry> locked_in;
-    quarantine_.lock_in(locked_in);
-    if (locked_in.empty()) {
+    quarantine_.lock_in(locked_in_);
+    if (locked_in_.empty()) {
         reclaimer_.end_scan();
         return;
     }
@@ -390,7 +389,7 @@ MineSweeper::run_sweep()
     // unconditionally; only trace-ring pushes are gated.
     const std::uint64_t sweep_t0 = monotonic_ns();
     metrics::telemetry().trace_event(metrics::TraceEvent::kSweepBegin,
-                                     locked_in.size());
+                                     locked_in_.size());
 
     if (opts_.sweep_enabled) {
         // Phase 1a (dirty-scan): arm the write tracker over the ranges
@@ -499,13 +498,13 @@ MineSweeper::run_sweep()
             // atomicity matters, entries are read-only here.
             const std::size_t start =
                 next.fetch_add(kBatch, std::memory_order_relaxed);
-            if (start >= locked_in.size())
+            if (start >= locked_in_.size())
                 break;
             const std::size_t end =
-                std::min(start + kBatch, locked_in.size());
+                std::min(start + kBatch, locked_in_.size());
             std::size_t nreleasable = 0;
             for (std::size_t i = start; i < end; ++i) {
-                const Entry& e = locked_in[i];
+                const Entry& e = locked_in_[i];
                 const bool marked =
                     opts_.sweep_enabled &&
                     mark_bits_.test_range(e.real_base(), e.usable);

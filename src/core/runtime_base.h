@@ -175,6 +175,12 @@ class QuarantineRuntime : public RuntimeBase
     std::unique_ptr<sweep::DirtyTracker> tracker_;
     Reclaimer reclaimer_;
     SweepController controller_;
+    /**
+     * The sweep set, reused across sweeps so lock_in() stops allocating
+     * once warm. Touched only by the sweep function, which the
+     * controller's sweep token serializes.
+     */
+    std::vector<quarantine::Entry> locked_in_;
 
   private:
     class Hooks;

@@ -40,6 +40,8 @@ Quarantine::chunk_alloc()
                        PROT_READ | PROT_WRITE,
                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     MSW_CHECK(mem != MAP_FAILED);
+    // msw-relaxed(stat-cells): statistics counter; needs no ordering.
+    chunks_mapped_.fetch_add(1, std::memory_order_relaxed);
     return new (mem) EntryChunk();
 }
 
@@ -53,13 +55,27 @@ Quarantine::chunk_free_list(EntryChunk* head)
     }
 }
 
+Quarantine::EntryChunk*
+Quarantine::take_spare_locked()
+{
+    EntryChunk* chunk = spare_;
+    if (chunk != nullptr) {
+        spare_ = chunk->next;
+        chunk->next = nullptr;
+        chunk->count = 0;
+    }
+    return chunk;
+}
+
 void
 Quarantine::append_locked(EntryChunk** head, const Entry& entry)
 {
     if (*head == nullptr || (*head)->count == EntryChunk::kEntries) {
         // mmap is a syscall, not a malloc: safe under lock_ even in the
         // self-hosted deployment.
-        EntryChunk* chunk = chunk_alloc();
+        EntryChunk* chunk = take_spare_locked();
+        if (chunk == nullptr)
+            chunk = chunk_alloc();
         chunk->next = *head;
         *head = chunk;
     }
@@ -104,15 +120,19 @@ Quarantine::~Quarantine()
     pthread_key_delete(buffer_key_);
     EntryChunk* taken_current = nullptr;
     EntryChunk* taken_failed = nullptr;
+    EntryChunk* taken_spare = nullptr;
     {
         LockGuard g(lock_);
         taken_current = current_;
         taken_failed = failed_;
+        taken_spare = spare_;
         current_ = nullptr;
         failed_ = nullptr;
+        spare_ = nullptr;
     }
     chunk_free_list(taken_current);
     chunk_free_list(taken_failed);
+    chunk_free_list(taken_spare);
 }
 
 Quarantine::ThreadBuffer*
@@ -282,30 +302,48 @@ Quarantine::lock_in(std::vector<Entry>& out)
 
     // Copy into the caller's vector *outside* lock_: its reallocation may
     // re-enter the allocator (and thus insert()), which is fine unlocked.
+    // One exact reserve: a reused vector reallocates only when a sweep
+    // set outgrows every earlier one.
+    std::size_t total = 0;
+    for (EntryChunk* list : {taken_current, taken_failed}) {
+        for (EntryChunk* c = list; c != nullptr; c = c->next)
+            total += c->count;
+    }
     out.clear();
+    out.reserve(total);
     std::size_t mapped = 0;
-    std::size_t unmapped = 0;
-    for (EntryChunk* c = taken_current; c != nullptr; c = c->next) {
-        for (std::size_t i = 0; i < c->count; ++i) {
-            out.push_back(c->entries[i]);
-            if (c->entries[i].unmapped)
-                unmapped += c->entries[i].usable;
-            else
-                mapped += c->entries[i].usable;
-        }
-    }
     std::size_t failed_mapped = 0;
-    for (EntryChunk* c = taken_failed; c != nullptr; c = c->next) {
-        for (std::size_t i = 0; i < c->count; ++i) {
-            out.push_back(c->entries[i]);
-            if (c->entries[i].unmapped)
-                unmapped += c->entries[i].usable;
-            else
-                failed_mapped += c->entries[i].usable;
+    std::size_t unmapped = 0;
+    EntryChunk* taken = nullptr;  // both lists, relinked for the pool
+    auto copy_out = [&](EntryChunk* list, std::size_t* mapped_bytes) {
+        while (list != nullptr) {
+            EntryChunk* next = list->next;
+            for (std::size_t i = 0; i < list->count; ++i) {
+                const Entry& e = list->entries[i];
+                out.push_back(e);
+                if (e.unmapped)
+                    unmapped += e.usable;
+                else
+                    *mapped_bytes += e.usable;
+            }
+            list->next = taken;
+            taken = list;
+            list = next;
         }
+    };
+    copy_out(taken_current, &mapped);
+    copy_out(taken_failed, &failed_mapped);
+
+    // Pool the emptied chunks for the next epoch and store_failed(). The
+    // spares keep at most as many chunks as this lock-in took: the ones
+    // the last epoch left unused are the excess, unmapped outside lock_.
+    EntryChunk* excess = nullptr;
+    {
+        LockGuard g(lock_);
+        excess = spare_;
+        spare_ = taken;
     }
-    chunk_free_list(taken_current);
-    chunk_free_list(taken_failed);
+    chunk_free_list(excess);
 
     // Accounting: the locked-in set leaves "pending"/"failed"; entries
     // that fail the sweep re-enter via store_failed().
@@ -333,40 +371,51 @@ Quarantine::lock_in(std::vector<Entry>& out)
 void
 Quarantine::store_failed(std::vector<Entry>&& failed)
 {
-    // Build the chunk list outside lock_; chunk_alloc is mmap-backed, so
-    // nothing here can re-enter the allocator.
+    if (failed.empty())
+        return;
+    // Take spares under lock_, map any shortfall and fill the chunks
+    // outside it; chunk_alloc is mmap-backed, so nothing here can
+    // re-enter the allocator.
+    const std::size_t need =
+        (failed.size() + EntryChunk::kEntries - 1) / EntryChunk::kEntries;
+    EntryChunk* head = nullptr;
+    std::size_t have = 0;
+    {
+        LockGuard g(lock_);
+        for (; have < need; ++have) {
+            EntryChunk* chunk = take_spare_locked();
+            if (chunk == nullptr)
+                break;
+            chunk->next = head;
+            head = chunk;
+        }
+    }
+    for (; have < need; ++have) {
+        EntryChunk* chunk = chunk_alloc();
+        chunk->next = head;
+        head = chunk;
+    }
+
     std::size_t mapped = 0;
     std::size_t unmapped = 0;
-    EntryChunk* head = nullptr;
-    EntryChunk* chunk = nullptr;
+    EntryChunk* chunk = head;
+    EntryChunk* last = head;
     for (const Entry& e : failed) {
         if (e.unmapped)
             unmapped += e.usable;
         else
             mapped += e.usable;
-        if (chunk == nullptr || chunk->count == EntryChunk::kEntries) {
-            EntryChunk* fresh = chunk_alloc();
-            fresh->next = head;
-            head = fresh;
-            chunk = fresh;
-        }
+        if (chunk->count == EntryChunk::kEntries)
+            chunk = chunk->next;
         chunk->entries[chunk->count++] = e;
+        last = chunk;
     }
 
     {
         LockGuard g(lock_);
         // Attach (failed_ is normally empty here: lock_in drained it).
-        if (failed_ == nullptr) {
-            failed_ = head;
-        } else {
-            EntryChunk* last = head;
-            while (last != nullptr && last->next != nullptr)
-                last = last->next;
-            if (last != nullptr) {
-                last->next = failed_;
-                failed_ = head;
-            }
-        }
+        last->next = failed_;
+        failed_ = head;
     }
     // msw-relaxed(stat-cells): statistics counters; totals need no
     // ordering.
@@ -385,6 +434,8 @@ Quarantine::stats() const
     // msw-relaxed(stat-cells): as above — reporting snapshot.
     s.unmapped_bytes = unmapped_bytes_.load(std::memory_order_relaxed);
     s.entries_added = entries_added_.load(std::memory_order_relaxed);
+    // msw-relaxed(stat-cells): as above — reporting snapshot.
+    s.chunks_mapped = chunks_mapped_.load(std::memory_order_relaxed);
     return s;
 }
 

@@ -44,16 +44,25 @@ namespace msw::quarantine {
 struct Entry {
     /** Masked address; use real_base(), construct with make(). */
     std::uintptr_t masked_base = 0;
-    std::size_t usable = 0;
+    /**
+     * The flag shares the size word so an entry stays 16 bytes: a chunk
+     * of EntryChunk::kEntries entries then maps exactly four pages.
+     */
+    std::size_t usable : 63 = 0;
     /** Physical pages released while quarantined (paper §4.2). */
-    bool unmapped = false;
+    bool unmapped : 1 = false;
 
     static constexpr std::uintptr_t kPtrMask = 0xa5a5'5a5a'c3c3'3c3cull;
+    static constexpr std::size_t kMaxUsable = ~std::size_t{0} >> 1;
 
     static Entry
     make(std::uintptr_t base, std::size_t usable, bool unmapped)
     {
-        return Entry{base ^ kPtrMask, usable, unmapped};
+        Entry e;
+        e.masked_base = base ^ kPtrMask;
+        e.usable = usable & kMaxUsable;
+        e.unmapped = unmapped;
+        return e;
     }
 
     std::uintptr_t
@@ -62,6 +71,7 @@ struct Entry {
         return masked_base ^ kPtrMask;
     }
 };
+static_assert(sizeof(Entry) == 16, "Entry packs its flag into the size word");
 
 /** Aggregate quarantine statistics. */
 struct QuarantineStats {
@@ -70,6 +80,7 @@ struct QuarantineStats {
     std::size_t unmapped_bytes = 0;   ///< Unmapped quarantined bytes.
     std::uint64_t entries_added = 0;  ///< Total quarantined frees.
     std::uint64_t double_frees = 0;   ///< Duplicates absorbed (by caller).
+    std::uint64_t chunks_mapped = 0;  ///< Entry chunks ever mmap'd.
 };
 
 /**
@@ -134,14 +145,17 @@ class Quarantine
 
     /**
      * Lock in the sweep set: moves the current epoch (with the caller's
-     * buffer flushed) plus all failed frees into @p out. Entries freed
-     * after this call land in a fresh epoch.
+     * buffer flushed) plus all failed frees into @p out, which is cleared
+     * and reserved to the exact count first (callers keep one vector
+     * across sweeps, so it stops reallocating once warm). Entries freed
+     * after this call land in a fresh epoch. The emptied chunks become
+     * spares, capped at the number this lock-in took.
      */
     void lock_in(std::vector<Entry>& out);
 
     /**
      * Record the failed frees left over from a sweep over the set obtained
-     * from lock_in().
+     * from lock_in(). Draws its chunks from the spares first.
      */
     void store_failed(std::vector<Entry>&& failed);
 
@@ -169,6 +183,8 @@ class Quarantine
      * self-hosted (LD_PRELOAD) deployment a std::vector growing under
      * lock_ would free its old buffer through the interposed free(),
      * re-enter insert() and self-deadlock on the non-reentrant spin lock.
+     * Emptied chunks are pooled in spare_ rather than unmapped, so a
+     * steady load maps (and faults in) no new chunk per sweep.
      */
     struct EntryChunk {
         static constexpr std::size_t kEntries = 1022;
@@ -176,13 +192,17 @@ class Quarantine
         std::size_t count = 0;
         Entry entries[kEntries];
     };
+    static_assert(sizeof(EntryChunk) <= 16 * 1024,
+                  "a chunk fits in four 4 KiB pages");
 
     ThreadBuffer* get_buffer();
     void flush_buffer_locked(ThreadBuffer* buf) MSW_REQUIRES(lock_);
     static void buffer_destructor(void* arg);
 
-    static EntryChunk* chunk_alloc();
+    EntryChunk* chunk_alloc();
     static void chunk_free_list(EntryChunk* head);
+    /** Pop a spare chunk, emptied, or null when there is none. */
+    EntryChunk* take_spare_locked() MSW_REQUIRES(lock_);
     /** Append to a chunk list (caller holds lock_). */
     void append_locked(EntryChunk** head, const Entry& entry)
         MSW_REQUIRES(lock_);
@@ -195,11 +215,13 @@ class Quarantine
     mutable SpinLock lock_{util::LockRank::kQuarantine};
     EntryChunk* current_ MSW_GUARDED_BY(lock_) = nullptr;
     EntryChunk* failed_ MSW_GUARDED_BY(lock_) = nullptr;
+    EntryChunk* spare_ MSW_GUARDED_BY(lock_) = nullptr;
 
     std::atomic<std::size_t> pending_bytes_{0};
     std::atomic<std::size_t> unmapped_bytes_{0};
     std::atomic<std::size_t> failed_bytes_{0};
     std::atomic<std::uint64_t> entries_added_{0};
+    std::atomic<std::uint64_t> chunks_mapped_{0};
 
     // Global registry of thread buffers so the destructor can orphan
     // buffers of still-running threads. Registry lock ranks *before* the

@@ -127,9 +127,12 @@ class Marker
     /**
      * Conservative scan: reads arbitrary resident memory (other threads'
      * stacks included) that mutators write concurrently, so ASan and
-     * TSan instrumentation are off here.
+     * TSan instrumentation are off here. Cache-line aligned so the
+     * per-word loop keeps one placement relative to 32-byte code
+     * boundaries: a 16-byte shift caused by unrelated code elsewhere in
+     * the binary once cost server's mark phase 15-20 % per sweep.
      */
-    MSW_NO_SANITIZE_ADDRESS MSW_NO_SANITIZE_THREAD
+    MSW_NO_SANITIZE_ADDRESS MSW_NO_SANITIZE_THREAD __attribute__((aligned(64)))
     void scan_chunk(std::uintptr_t lo, std::uintptr_t hi,
                     MarkStats* stats) const;
 

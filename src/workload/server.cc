@@ -1,6 +1,7 @@
 #include "workload/server.h"
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <thread>
@@ -132,7 +133,10 @@ class ServerWorker
             }
             result_.allocs += 1;
             result_.bytes_allocated += size;
-            // Stamp the head so touch has live data to fold.
+            // Fill the buffer and stamp its head: touch folds only bytes
+            // written here, so the checksum is a function of the seed,
+            // whatever the allocator recycled into the block.
+            std::memset(buf, static_cast<int>((op ^ size) & 0xff), size);
             *static_cast<std::uint64_t*>(buf) = op ^ size;
             s->bufs[s->nbufs] = buf;
             s->buf_sizes[s->nbufs] = static_cast<std::uint32_t>(size);

@@ -18,9 +18,10 @@
  * Each operation is one of:
  *  - close: the chosen session expired — free its buffers and header;
  *  - open: the chosen slot is empty — allocate a session header plus a
- *    heavy-tailed number/size of buffers, stamp its expiry;
+ *    heavy-tailed number/size of buffers, fill them, stamp its expiry;
  *  - touch: read-modify-write a stripe of the session's newest buffer
- *    (the "request handler" doing work against live state).
+ *    (the "request handler" doing work against live state). It reads
+ *    only bytes open wrote, so the checksum depends on the seed alone.
  *
  * Session headers live in the system-under-test heap and hold real
  * pointers to their buffers; the per-thread slot table is registered as

@@ -6,6 +6,7 @@
 // quarantine registry -> epoch lists, sweep control -> roots -> workers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "core/minesweeper.h"
+#include "quarantine/quarantine.h"
 #include "util/rng.h"
 
 namespace msw {
@@ -211,6 +213,75 @@ TEST(ConcurrentStress, SweeperTokenEpochHandoffInterleave)
 
     EXPECT_GE(msw.sweep_stats().sweeps, 8u);
     EXPECT_GT(allocs.load(), 0u);
+}
+
+// The quarantine's chunk pool under contention: inserters spill their
+// buffers into the current epoch (drawing spare chunks under the epoch
+// lock) while a sweeper-like thread locks in, pools the emptied chunks
+// and stores a share back as failed frees. Every entry must come out
+// released exactly once; a chunk handed to two lists, or recycled while
+// still linked, would lose or duplicate entries.
+TEST(ConcurrentStress, QuarantinePoolYieldsEachEntryOnce)
+{
+    using quarantine::Entry;
+    constexpr unsigned kInserters = 4;
+    constexpr std::size_t kPerThread = 20000;
+    constexpr std::size_t kTotal = kInserters * kPerThread;
+    quarantine::Quarantine q(16);
+    std::atomic<unsigned> running{kInserters};
+
+    std::vector<std::thread> inserters;
+    for (unsigned t = 0; t < kInserters; ++t) {
+        inserters.emplace_back([&q, &running, t] {
+            for (std::size_t i = 0; i < kPerThread; ++i) {
+                const std::size_t id = t * kPerThread + i;
+                q.insert(Entry::make(0x10000 + id * 16, 16, false));
+            }
+            q.flush_thread_buffer();
+            running.fetch_sub(1);
+        });
+    }
+
+    // Sweeper: an entry seen for the first time with id % 3 == 0 fails
+    // its sweep and goes back; every other sighting releases it.
+    std::vector<std::uint8_t> seen(kTotal, 0);
+    std::vector<std::uint8_t> released(kTotal, 0);
+    std::size_t nreleased = 0;
+    std::size_t duplicates = 0;
+    std::vector<Entry> set;
+    std::thread sweeper([&] {
+        for (;;) {
+            // Read before lock_in: once every inserter has flushed, an
+            // idle pass proves nothing is left anywhere.
+            const bool done = running.load() == 0;
+            q.lock_in(set);
+            std::vector<Entry> failed;
+            for (const Entry& e : set) {
+                const std::size_t id = (e.real_base() - 0x10000) / 16;
+                if (seen[id]++ == 0 && id % 3 == 0) {
+                    failed.push_back(e);
+                    continue;
+                }
+                if (released[id]++ != 0)
+                    ++duplicates;
+                ++nreleased;
+            }
+            const bool idle = set.empty() && failed.empty();
+            q.store_failed(std::move(failed));
+            if (done && idle)
+                break;
+        }
+    });
+    for (auto& th : inserters)
+        th.join();
+    sweeper.join();
+
+    EXPECT_EQ(duplicates, 0u);
+    EXPECT_EQ(nreleased, kTotal);
+    EXPECT_EQ(std::count(released.begin(), released.end(), 1),
+              static_cast<std::ptrdiff_t>(kTotal));
+    EXPECT_EQ(q.pending_bytes(), 0u);
+    EXPECT_EQ(q.failed_bytes(), 0u);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -18,6 +19,7 @@
 
 #include "core/lifecycle.h"
 #include "core/minesweeper.h"
+#include "quarantine/quarantine.h"
 #include "util/bits.h"
 #include "util/failpoint.h"
 #include "util/lock_rank.h"
@@ -153,6 +155,72 @@ TEST(Lifecycle, ForkChildInheritsWorkingRuntime)
     ms.free(after);
     ms.free(parent_block);
     ms.force_sweep();
+}
+
+TEST(Lifecycle, ForkChildSweepsWithInheritedSpareChunks)
+{
+    // The quarantine's pooled entry chunks are plain mappings, so a fork
+    // child inherits the spares along with the epochs. The child adopts
+    // the buffer of a thread that did not survive the fork, then keeps
+    // quarantining and cycling lock-ins at the parent's load without
+    // mapping a single new chunk.
+    ASSERT_EQ(core::lifecycle::registered_runtime(), nullptr)
+        << "the test drives the quarantine's fork hooks by hand";
+    using quarantine::Entry;
+    quarantine::Quarantine q(64);
+    constexpr std::size_t kLoad = 4000;
+    std::vector<Entry> set;
+    auto cycle = [&](std::uintptr_t base) {
+        for (std::size_t i = 0; i < kLoad; ++i)
+            q.insert(Entry::make(base + i * 16, 16, false));
+        q.lock_in(set);
+        std::vector<Entry> failed(set.begin(), set.begin() + 100);
+        q.store_failed(std::move(failed));
+    };
+    cycle(0x100000);
+    cycle(0x200000);
+
+    // A second thread parks three entries in its buffer across the fork.
+    std::atomic<bool> parked{false};
+    std::atomic<bool> release{false};
+    std::thread other([&] {
+        for (std::uintptr_t i = 0; i < 3; ++i)
+            q.insert(Entry::make(0x900000 + i * 16, 16, false));
+        parked.store(true);
+        while (!release.load())
+            std::this_thread::yield();
+    });
+    while (!parked.load())
+        std::this_thread::yield();
+    const std::uint64_t mapped = q.stats().chunks_mapped;
+
+    q.prepare_fork();
+    const pid_t pid = fork();
+    if (pid == 0) {
+        q.child_after_fork();
+        cycle(0x300000);
+        const bool adopted =
+            std::any_of(set.begin(), set.end(), [](const Entry& e) {
+                return e.real_base() == 0x900000;
+            });
+        if (set.size() != kLoad + 100 + 3 || !adopted)
+            _exit(2);
+        for (std::uintptr_t base = 0x400000; base < 0x800000;
+             base += 0x100000) {
+            cycle(base);
+            if (set.size() != kLoad + 100)
+                _exit(3);
+        }
+        _exit(q.stats().chunks_mapped == mapped ? 0 : 4);
+    }
+    q.parent_after_fork();
+    release.store(true);
+    other.join();
+    ASSERT_GE(pid, 0) << "fork failed: " << std::strerror(errno);
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "child status " << status;
 }
 
 TEST(Lifecycle, ForkWhileSweeping)

@@ -5,6 +5,9 @@
 // fatally by default, as counted events under MSW_POLICY_FATAL=0.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
@@ -42,6 +45,44 @@ TEST(PolicyTable, HardenedPolicyFillsEveryHook)
     EXPECT_NE(p.arm_canary, nullptr);
     EXPECT_NE(p.check_canary, nullptr);
     EXPECT_NE(p.shuffle, nullptr);
+}
+
+TEST(PolicyCanary, SecretKeysTheCanaryOfAFixedAddress)
+{
+    // No hardened heap is live here, so redrawing the key strands no
+    // armed canary. A redraw keeps an odd tail byte's value with
+    // probability 1/128; eight in a row do so with 2^-56.
+    const AllocPolicy& p = hardened_policy();
+    alignas(16) static unsigned char block[64];
+    p.arm_canary(block, sizeof(block));
+    const unsigned char before = block[sizeof(block) - 1];
+    EXPECT_TRUE(p.check_canary(block, sizeof(block)));
+    EXPECT_EQ(before & 1u, 1u) << "the tail byte is never zero";
+    bool changed = false;
+    for (int i = 0; i < 8 && !changed; ++i) {
+        redraw_canary_secret_for_testing();
+        changed = !p.check_canary(block, sizeof(block));
+    }
+    EXPECT_TRUE(changed) << "the canary does not depend on the secret";
+    p.arm_canary(block, sizeof(block));
+    EXPECT_TRUE(p.check_canary(block, sizeof(block)));
+}
+
+TEST(PolicyCanary, ForkChildKeepsTheSecret)
+{
+    // The child inherits the heap and its armed canaries, so it must
+    // verify them with the parent's key.
+    const AllocPolicy& p = hardened_policy();
+    alignas(16) static unsigned char block[48];
+    p.arm_canary(block, sizeof(block));
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0)
+        _exit(p.check_canary(block, sizeof(block)) ? 0 : 1);
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "child status " << status;
 }
 
 TEST(PolicyTable, LookupByName)

@@ -1,5 +1,5 @@
-// Quarantine tests: buffering, epoch lock-in, failed-free carry-over, and
-// byte accounting across the entry life-cycle.
+// Quarantine tests: buffering, epoch lock-in, failed-free carry-over,
+// byte accounting across the entry life-cycle, and the entry-chunk pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -175,6 +175,114 @@ TEST(Quarantine, ManyThreadsInsertConcurrently)
               static_cast<std::size_t>(kThreads) * kPerThread);
     EXPECT_EQ(q.stats().entries_added,
               static_cast<std::uint64_t>(kThreads) * kPerThread);
+}
+
+TEST(Quarantine, EntryKeepsFlagAndSizeInOneWord)
+{
+    const std::size_t big = std::size_t{1} << 40;
+    const Entry e = entry(0x7f00'0000'1000, big, /*unmapped=*/true);
+    EXPECT_EQ(e.real_base(), 0x7f00'0000'1000u);
+    EXPECT_EQ(e.usable, big);
+    EXPECT_TRUE(e.unmapped);
+    const Entry f = entry(0x2000, 48);
+    EXPECT_EQ(f.usable, 48u);
+    EXPECT_FALSE(f.unmapped);
+}
+
+// Entries per chunk: EntryChunk::kEntries (private); the pool tests size
+// their loads in whole chunks.
+constexpr std::size_t kChunk = 1022;
+
+void
+insert_n(Quarantine& q, std::size_t n, std::uintptr_t base = 0x10000)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        q.insert(entry(base + i * 16, 16));
+}
+
+TEST(QuarantinePool, SteadyLoadMapsNoNewChunks)
+{
+    // Each cycle quarantines 3.5 chunks of fresh entries and carries a
+    // constant 1500 failed frees, as a sweep at a steady load does.
+    Quarantine q(64);
+    std::vector<Entry> set;
+    auto cycle = [&] {
+        insert_n(q, 3 * kChunk + kChunk / 2);
+        q.lock_in(set);
+        std::vector<Entry> failed(set.begin(), set.begin() + 1500);
+        q.store_failed(std::move(failed));
+    };
+    cycle();
+    cycle();
+    const std::uint64_t warm = q.stats().chunks_mapped;
+    EXPECT_GT(warm, 0u);
+    for (int i = 0; i < 20; ++i)
+        cycle();
+    EXPECT_EQ(q.stats().chunks_mapped, warm)
+        << "a warm quarantine reuses its chunks instead of mapping new ones";
+    q.lock_in(set);
+    EXPECT_EQ(set.size(), 1500u) << "only the carried failed frees remain";
+}
+
+TEST(QuarantinePool, SparesNeverExceedTheLastLockIn)
+{
+    Quarantine q(64);
+    std::vector<Entry> set;
+    insert_n(q, 10 * kChunk);
+    q.lock_in(set);
+    ASSERT_EQ(set.size(), 10 * kChunk);
+    EXPECT_EQ(q.stats().chunks_mapped, 10u);
+
+    // A one-chunk epoch reuses a spare; its lock-in caps the spares at
+    // the one chunk it took and unmaps the other nine.
+    insert_n(q, kChunk);
+    q.lock_in(set);
+    ASSERT_EQ(set.size(), kChunk);
+    EXPECT_EQ(q.stats().chunks_mapped, 10u);
+
+    // Ten chunks' worth again: one comes from the spares, nine are new.
+    insert_n(q, 10 * kChunk);
+    EXPECT_EQ(q.stats().chunks_mapped, 19u)
+        << "the spare list held more chunks than the last lock-in took";
+    q.lock_in(set);
+    EXPECT_EQ(set.size(), 10 * kChunk);
+}
+
+TEST(QuarantinePool, StoreFailedDrawsFromSpares)
+{
+    Quarantine q(64);
+    std::vector<Entry> set;
+    insert_n(q, 3 * kChunk);
+    q.lock_in(set);
+    ASSERT_EQ(q.stats().chunks_mapped, 3u);
+
+    std::vector<Entry> failed(set.begin(), set.begin() + kChunk + 1);
+    q.store_failed(std::move(failed));
+    EXPECT_EQ(q.stats().chunks_mapped, 3u)
+        << "two failed chunks come from the three spares";
+    EXPECT_EQ(q.failed_bytes(), (kChunk + 1) * 16);
+
+    std::vector<Entry> again;
+    q.lock_in(again);
+    ASSERT_EQ(again.size(), kChunk + 1);
+    for (std::size_t i = 0; i < again.size(); ++i)
+        EXPECT_EQ(again[i].real_base(), set[i].real_base());
+}
+
+TEST(QuarantinePool, LockInReusesTheCallersVector)
+{
+    Quarantine q(64);
+    std::vector<Entry> set;
+    insert_n(q, 2000);
+    q.lock_in(set);
+    ASSERT_EQ(set.size(), 2000u);
+    EXPECT_EQ(set.capacity(), 2000u) << "lock_in reserves the exact count";
+    const Entry* storage = set.data();
+    insert_n(q, 1500);
+    q.lock_in(set);
+    EXPECT_EQ(set.size(), 1500u);
+    EXPECT_EQ(set.data(), storage)
+        << "a smaller sweep set reuses the vector's storage";
 }
 
 }  // namespace

@@ -45,8 +45,7 @@ TEST(ServerWorkload, OpLatencyDigestPopulates)
 TEST(ServerWorkload, DeterministicOpStreamForSameSeed)
 {
     // The op stream (and so the alloc/free ledger) is a pure function
-    // of the seed. The checksum is deliberately NOT: touch operations
-    // fold recycled heap bytes, which vary run to run.
+    // of the seed.
     const ServerOptions so = tiny_options();
     System a = make_system(SystemKind::kBaseline);
     const WorkloadResult ra = run_server(a, so);
@@ -56,6 +55,7 @@ TEST(ServerWorkload, DeterministicOpStreamForSameSeed)
         << "per-thread RNG streams are seeded deterministically";
     EXPECT_EQ(ra.frees, rb.frees);
     EXPECT_EQ(ra.bytes_allocated, rb.bytes_allocated);
+    EXPECT_EQ(ra.checksum, rb.checksum);
 }
 
 TEST(ServerWorkload, DurationModeTerminates)
@@ -70,6 +70,9 @@ TEST(ServerWorkload, DurationModeTerminates)
 
 TEST(ServerWorkload, RunsAgainstEverySystem)
 {
+    // Touches fold only bytes the workload wrote, so every system must
+    // reproduce the baseline's (first) checksum for one seed.
+    std::uint64_t expected = 0;
     for (SystemKind kind :
          {SystemKind::kBaseline, SystemKind::kMineSweeper,
           SystemKind::kMarkUs, SystemKind::kFFMalloc}) {
@@ -80,6 +83,12 @@ TEST(ServerWorkload, RunsAgainstEverySystem)
         EXPECT_EQ(r.allocs, r.frees)
             << "system: " << system_kind_name(kind);
         EXPECT_GT(r.op_latency.count, 0u)
+            << "system: " << system_kind_name(kind);
+        EXPECT_EQ(r.failed_allocs, 0u)
+            << "system: " << system_kind_name(kind);
+        if (kind == SystemKind::kBaseline)
+            expected = r.checksum;
+        EXPECT_EQ(r.checksum, expected)
             << "system: " << system_kind_name(kind);
         sys.flush();
     }
