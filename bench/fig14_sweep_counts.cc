@@ -28,11 +28,11 @@ main()
         std::fprintf(stderr, "  [%s]...\n", p.name.c_str());
         const RunRecord rec =
             msw::workload::measure_profile(SystemKind::kMineSweeper, p);
-        if (rec.sweeps > max_sweeps) {
-            max_sweeps = rec.sweeps;
+        if (rec.counters.sweeps > max_sweeps) {
+            max_sweeps = rec.counters.sweeps;
             max_bench = p.name;
         }
-        table.add_row({p.name, std::to_string(rec.sweeps),
+        table.add_row({p.name, std::to_string(rec.counters.sweeps),
                        std::to_string(rec.allocs),
                        std::to_string(rec.frees)});
     }

@@ -5,7 +5,8 @@
  * Runs the long-running request/response workload (workload/server.h)
  * against all four runtimes and reports the *distribution* of
  * per-operation latency — p50/p90/p99/p999/max — alongside the sweep
- * pause breakdown (backpressure pauses, STW windows, per-phase totals).
+ * pause breakdown (backpressure pauses, STW windows, per-phase totals)
+ * and every other runtime counter, keyed by its MSW_STAT_LIST name.
  * Batch benchmarks answer "how much slower"; this one answers "where do
  * the pauses land", which is the question a latency-sensitive service
  * asks of a drop-in UAF mitigation.
@@ -102,7 +103,9 @@ main()
                        cell(r.op_latency.max_ns),
                        cell(r.sweep_pause.count),
                        metrics::fmt_seconds(
-                           static_cast<double>(r.stw_total_ns) * 1e-6)});
+                           static_cast<double>(
+                               r.counters[metrics::Stat::kStwNs]) *
+                           1e-6)});
     }
     std::printf("\nserver tail latency (%s mode)\n",
                 so.duration_s > 0 ? "duration" : "op-count");
@@ -127,23 +130,16 @@ main()
         std::fprintf(json, "      \"ok\": %s,\n", r.ok ? "true" : "false");
         std::fprintf(json, "      \"wall_s\": %.3f,\n", r.wall_s);
         std::fprintf(json, "      \"sweeps\": %llu,\n",
-                     static_cast<unsigned long long>(r.sweeps));
+                     static_cast<unsigned long long>(r.counters.sweeps));
         json_latency(json, "op_latency_ns", r.op_latency, ",");
         json_latency(json, "sweep_pause_ns", r.sweep_pause, ",");
-        std::fprintf(json, "      \"pause_total_ns\": %llu,\n",
-                     static_cast<unsigned long long>(r.pause_total_ns));
-        std::fprintf(json, "      \"stw_total_ns\": %llu,\n",
-                     static_cast<unsigned long long>(r.stw_total_ns));
-        std::fprintf(
-            json, "      \"phase_dirty_scan_ns\": %llu,\n",
-            static_cast<unsigned long long>(r.phase_dirty_scan_ns));
-        std::fprintf(json, "      \"phase_mark_ns\": %llu,\n",
-                     static_cast<unsigned long long>(r.phase_mark_ns));
-        std::fprintf(json, "      \"phase_drain_ns\": %llu,\n",
-                     static_cast<unsigned long long>(r.phase_drain_ns));
-        std::fprintf(
-            json, "      \"phase_release_ns\": %llu\n",
-            static_cast<unsigned long long>(r.phase_release_ns));
+        for (unsigned k = 0; k < metrics::kStatCount; ++k) {
+            std::fprintf(json, "      \"%s\": %llu%s\n",
+                         metrics::kStatNames[k],
+                         static_cast<unsigned long long>(
+                             r.counters.values[k]),
+                         k + 1 == metrics::kStatCount ? "" : ",");
+        }
         std::fprintf(json, "    }%s\n",
                      i + 1 == systems.size() ? "" : ",");
     }

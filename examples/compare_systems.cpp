@@ -43,7 +43,7 @@ main(int argc, char** argv)
                        msw::metrics::fmt_seconds(rec.cpu_s),
                        msw::metrics::fmt_mib(rec.avg_rss),
                        msw::metrics::fmt_mib(rec.peak_rss),
-                       std::to_string(rec.sweeps)});
+                       std::to_string(rec.counters.sweeps)});
     }
     table.print();
     if (base_wall > 0)

@@ -65,26 +65,6 @@ class MarkUs final : public core::QuarantineRuntime
     /** Run a full marking pass now and wait for it. */
     void force_mark();
 
-    /** Marking-pass count (the analogue of MineSweeper's sweep count). */
-    std::uint64_t
-    marks_done() const
-    {
-        return controller_.sweeps_done();
-    }
-
-    std::uint64_t
-    mark_cpu_ns() const
-    {
-        return stats_.read(core::Stat::kSweepCpuNs);
-    }
-
-    /** Telemetry accessor for one stat cell (phase/pause breakdowns). */
-    std::uint64_t
-    stat_ns(core::Stat stat) const
-    {
-        return stats_.read(stat);
-    }
-
   private:
     void maybe_trigger_mark();
     /** Substrate-exhaustion path: forced marking passes, then nullptr. */

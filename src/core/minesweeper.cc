@@ -661,36 +661,12 @@ MineSweeper::force_sweep()
 SweepStats
 MineSweeper::sweep_stats() const
 {
-    std::uint64_t v[kStatCount];
-    stats_.read_all(v);
+    const metrics::StatSnapshot c = counters();
     SweepStats s;
-    s.sweeps = controller_.sweeps_done();
-    s.entries_released = v[static_cast<unsigned>(Stat::kEntriesReleased)];
-    s.bytes_released = v[static_cast<unsigned>(Stat::kBytesReleased)];
-    s.failed_frees = v[static_cast<unsigned>(Stat::kFailedFrees)];
-    s.double_frees = v[static_cast<unsigned>(Stat::kDoubleFrees)];
-    s.bytes_scanned = v[static_cast<unsigned>(Stat::kBytesScanned)];
-    s.sweep_cpu_ns = v[static_cast<unsigned>(Stat::kSweepCpuNs)];
-    s.stw_ns = v[static_cast<unsigned>(Stat::kStwNs)];
-    s.pause_ns = v[static_cast<unsigned>(Stat::kPauseNs)];
-    s.unmapped_entries = v[static_cast<unsigned>(Stat::kUnmappedEntries)];
-    s.phase_dirty_scan_ns =
-        v[static_cast<unsigned>(Stat::kPhaseDirtyScanNs)];
-    s.phase_mark_ns = v[static_cast<unsigned>(Stat::kPhaseMarkNs)];
-    s.phase_drain_ns = v[static_cast<unsigned>(Stat::kPhaseDrainNs)];
-    s.phase_release_ns = v[static_cast<unsigned>(Stat::kPhaseReleaseNs)];
-    s.emergency_sweeps = v[static_cast<unsigned>(Stat::kEmergencySweeps)];
-    s.commit_retries = v[static_cast<unsigned>(Stat::kCommitRetries)];
-    s.watchdog_fallbacks =
-        v[static_cast<unsigned>(Stat::kWatchdogFallbacks)];
-    s.oom_returns = v[static_cast<unsigned>(Stat::kOomReturns)];
-    s.canary_checks = v[static_cast<unsigned>(Stat::kCanaryChecks)];
-    s.canary_violations =
-        v[static_cast<unsigned>(Stat::kCanaryViolations)];
-    s.sweep_fill_checks =
-        v[static_cast<unsigned>(Stat::kSweepFillChecks)];
-    s.release_shuffles =
-        v[static_cast<unsigned>(Stat::kReleaseShuffles)];
+    s.sweeps = c.sweeps;
+#define MSW_SWEEP_STATS_COPY(id, name, kind) s.name = c[Stat::id];
+    MSW_STAT_LIST(MSW_SWEEP_STATS_COPY)
+#undef MSW_SWEEP_STATS_COPY
     for (unsigned i = 0; i < util::kNumFailpoints; ++i)
         s.failpoint_hits[i] =
             util::failpoint_hits(static_cast<util::Failpoint>(i));

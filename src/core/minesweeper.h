@@ -43,36 +43,15 @@
 
 namespace msw::core {
 
-/** Counters describing sweeping activity (Fig 12, Fig 14 inputs). */
+/**
+ * Counters describing sweeping activity (Fig 12, Fig 14 inputs): the
+ * sweep count, one field per MSW_STAT_LIST row and the failpoint fires.
+ */
 struct SweepStats {
     std::uint64_t sweeps = 0;
-    std::uint64_t entries_released = 0;
-    std::uint64_t bytes_released = 0;
-    std::uint64_t failed_frees = 0;      ///< Entry-test failures (cumulative).
-    std::uint64_t double_frees = 0;
-    std::uint64_t bytes_scanned = 0;     ///< Total marking traffic.
-    std::uint64_t sweep_cpu_ns = 0;      ///< Sweeper + helper CPU time.
-    std::uint64_t stw_ns = 0;            ///< Total stop-the-world time.
-    std::uint64_t pause_ns = 0;          ///< Allocation-pausing wait time.
-    std::uint64_t unmapped_entries = 0;  ///< Large allocations unmapped.
-
-    // Sweep-phase breakdown (telemetry layer; subsets of sweep_cpu_ns).
-    std::uint64_t phase_dirty_scan_ns = 0;  ///< Root/lock-in setup.
-    std::uint64_t phase_mark_ns = 0;        ///< Linear heap + root marking.
-    std::uint64_t phase_drain_ns = 0;       ///< Deferred-free drain.
-    std::uint64_t phase_release_ns = 0;     ///< Entry test + release batches.
-
-    // Resilience counters (memory-pressure degradation + watchdog).
-    std::uint64_t emergency_sweeps = 0;   ///< Reclaims run from alloc().
-    std::uint64_t commit_retries = 0;     ///< alloc() retries after failure.
-    std::uint64_t watchdog_fallbacks = 0; ///< Synchronous watchdog sweeps.
-    std::uint64_t oom_returns = 0;        ///< alloc() nullptr returns.
-
-    // Hardened-policy counters (zero under the default policy).
-    std::uint64_t canary_checks = 0;      ///< free()-time canary tests.
-    std::uint64_t canary_violations = 0;  ///< Tampered canaries/fills seen.
-    std::uint64_t sweep_fill_checks = 0;  ///< Release-time fill audits.
-    std::uint64_t release_shuffles = 0;   ///< Randomized release batches.
+#define MSW_SWEEP_STATS_FIELD(id, name, kind) std::uint64_t name = 0;
+    MSW_STAT_LIST(MSW_SWEEP_STATS_FIELD)
+#undef MSW_SWEEP_STATS_FIELD
 
     /** Process-global failpoint fire counts, indexed by util::Failpoint. */
     std::uint64_t failpoint_hits[util::kNumFailpoints] = {};

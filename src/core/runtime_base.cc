@@ -248,6 +248,22 @@ QuarantineRuntime::internal_regions() const
     return out;
 }
 
+metrics::StatSnapshot
+RuntimeBase::counters() const
+{
+    metrics::StatSnapshot s;
+    stats_.read_all(s.values);
+    return s;
+}
+
+metrics::StatSnapshot
+QuarantineRuntime::counters() const
+{
+    metrics::StatSnapshot s = RuntimeBase::counters();
+    s.sweeps = controller_.sweeps_done();
+    return s;
+}
+
 alloc::AllocatorStats
 QuarantineRuntime::stats() const
 {

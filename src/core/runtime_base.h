@@ -51,6 +51,13 @@ class RuntimeBase : public alloc::Allocator
     StatCells& stat_cells() { return stats_; }
     const StatCells& stat_cells() const { return stats_; }
 
+    /**
+     * Every counter plus the completed sweep count (zero for runtimes
+     * that never sweep). Relaxed loads into a stack struct only, so it is
+     * async-signal-safe (the SIGUSR2 dump calls it).
+     */
+    virtual metrics::StatSnapshot counters() const;
+
   protected:
     RuntimeBase() = default;
 
@@ -109,6 +116,7 @@ class QuarantineRuntime : public RuntimeBase
 
     std::size_t usable_size(const void* ptr) const override;
     alloc::AllocatorStats stats() const override;
+    metrics::StatSnapshot counters() const override;
 
     /** Complete any in-flight sweep and flush quarantine buffers. */
     void flush() override;

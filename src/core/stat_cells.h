@@ -23,56 +23,13 @@
 #include <atomic>
 #include <cstdint>
 
+#include "metrics/stat_list.h"
+
 namespace msw::core {
 
-/**
- * Logical counter identities for the whole runtime family. One shared
- * namespace keeps the aggregation surface uniform; a runtime simply never
- * touches the slots it has no use for (an unused slot costs 8 bytes per
- * shard, nothing on any fast path).
- */
-enum class Stat : unsigned {
-    // Allocation surface (all runtimes).
-    kAllocCalls = 0,
-    kFreeCalls,
-    kDoubleFrees,
-
-    // Sweep/mark outcomes (MineSweeper, MarkUs).
-    kEntriesReleased,
-    kBytesReleased,
-    kFailedFrees,
-    kBytesScanned,
-    kSweepCpuNs,
-    kStwNs,
-    kPauseNs,
-    kUnmappedEntries,
-
-    // Sweep-phase breakdown (telemetry layer; MineSweeper, MarkUs).
-    kPhaseDirtyScanNs,
-    kPhaseMarkNs,
-    kPhaseDrainNs,
-    kPhaseReleaseNs,
-
-    // Resilience (MineSweeper).
-    kEmergencySweeps,
-    kCommitRetries,
-    kWatchdogFallbacks,
-    kOomReturns,
-
-    // Hardened allocation policy (canary + fill verification).
-    kCanaryChecks,
-    kCanaryViolations,
-    kSweepFillChecks,
-    kReleaseShuffles,
-
-    // Byte gauges (FFMalloc): add()/sub() pairs, exact under summation.
-    kLiveBytes,
-    kCommittedBytes,
-
-    kCount,
-};
-
-inline constexpr unsigned kStatCount = static_cast<unsigned>(Stat::kCount);
+// The counter identities and their kinds come from MSW_STAT_LIST.
+using metrics::kStatCount;
+using metrics::Stat;
 
 class StatCells
 {
@@ -103,12 +60,12 @@ class StatCells
     void read_all(std::uint64_t (&out)[kStatCount]) const;
 
     /**
-     * Zero every *event* counter across all shards. Gauges (kLiveBytes,
-     * kCommittedBytes) are preserved: they describe heap state the fork
-     * child inherits, and zeroing them would make the sub() half of a
-     * later add()/sub() pair wrap. Only legal when no other thread is
-     * mutating — the atfork child handler, where the process is
-     * single-threaded by construction.
+     * Zero every *event* counter across all shards. Gauges are
+     * preserved: they describe heap state the fork child inherits, and
+     * zeroing them would make the sub() half of a later add()/sub() pair
+     * wrap. Only legal when no other thread is mutating — the atfork
+     * child handler, where the process is single-threaded by
+     * construction.
      */
     void reset_events();
 
@@ -116,7 +73,8 @@ class StatCells
     static constexpr bool
     is_gauge(Stat stat)
     {
-        return stat == Stat::kLiveBytes || stat == Stat::kCommittedBytes;
+        return metrics::kStatKinds[static_cast<unsigned>(stat)] ==
+               metrics::StatKind::kGauge;
     }
 
     /** Number of stripes (tests and benchmarks). */

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 #include "util/check.h"
 #include "vm/vm.h"
@@ -114,31 +115,8 @@ RssSampler::series() const
 
 namespace {
 
-struct WireHeader {
-    double wall_s;
-    double cpu_s;
-    std::uint64_t avg_rss;
-    std::uint64_t peak_rss;
-    std::uint64_t sweeps;
-    std::uint64_t allocs;
-    std::uint64_t frees;
-    std::uint64_t checksum;
-    std::uint64_t emergency_sweeps;
-    std::uint64_t commit_retries;
-    std::uint64_t watchdog_fallbacks;
-    std::uint64_t oom_returns;
-    std::uint64_t failed_allocs;
-    // LatencySummary is trivially copyable; ship it verbatim.
-    LatencySummary op_latency;
-    LatencySummary sweep_pause;
-    std::uint64_t pause_total_ns;
-    std::uint64_t stw_total_ns;
-    std::uint64_t phase_dirty_scan_ns;
-    std::uint64_t phase_mark_ns;
-    std::uint64_t phase_drain_ns;
-    std::uint64_t phase_release_ns;
-    std::uint64_t series_len;
-};
+static_assert(std::is_trivially_copyable_v<RunHead>,
+              "the fork pipe ships RunHead as raw bytes");
 
 struct WireSample {
     double t;
@@ -200,31 +178,11 @@ run_in_subprocess(const std::function<RunRecord()>& body,
     MSW_CHECK(pid >= 0);
     if (pid == 0) {
         ::close(fds[0]);
-        RunRecord rec = body();
-        WireHeader hdr;
-        hdr.wall_s = rec.wall_s;
-        hdr.cpu_s = rec.cpu_s;
-        hdr.avg_rss = rec.avg_rss;
-        hdr.peak_rss = rec.peak_rss;
-        hdr.sweeps = rec.sweeps;
-        hdr.allocs = rec.allocs;
-        hdr.frees = rec.frees;
-        hdr.checksum = rec.checksum;
-        hdr.emergency_sweeps = rec.emergency_sweeps;
-        hdr.commit_retries = rec.commit_retries;
-        hdr.watchdog_fallbacks = rec.watchdog_fallbacks;
-        hdr.oom_returns = rec.oom_returns;
-        hdr.failed_allocs = rec.failed_allocs;
-        hdr.op_latency = rec.op_latency;
-        hdr.sweep_pause = rec.sweep_pause;
-        hdr.pause_total_ns = rec.pause_total_ns;
-        hdr.stw_total_ns = rec.stw_total_ns;
-        hdr.phase_dirty_scan_ns = rec.phase_dirty_scan_ns;
-        hdr.phase_mark_ns = rec.phase_mark_ns;
-        hdr.phase_drain_ns = rec.phase_drain_ns;
-        hdr.phase_release_ns = rec.phase_release_ns;
-        hdr.series_len = rec.rss_series.size();
-        bool ok = write_fully(fds[1], &hdr, sizeof(hdr));
+        const RunRecord rec = body();
+        const RunHead head = rec;
+        const std::uint64_t series_len = rec.rss_series.size();
+        bool ok = write_fully(fds[1], &head, sizeof(head)) &&
+                  write_fully(fds[1], &series_len, sizeof(series_len));
         for (const auto& [t, rss] : rec.rss_series) {
             if (!ok)
                 break;
@@ -238,37 +196,20 @@ run_in_subprocess(const std::function<RunRecord()>& body,
     ::close(fds[1]);
 
     RunRecord rec;
-    WireHeader hdr;
-    bool ok = read_fully(fds[0], &hdr, sizeof(hdr), timeout_s);
+    RunHead head;
+    std::uint64_t series_len = 0;
+    bool ok = read_fully(fds[0], &head, sizeof(head), timeout_s) &&
+              read_fully(fds[0], &series_len, sizeof(series_len),
+                         timeout_s);
     if (ok) {
-        rec.wall_s = hdr.wall_s;
-        rec.cpu_s = hdr.cpu_s;
-        rec.avg_rss = hdr.avg_rss;
-        rec.peak_rss = hdr.peak_rss;
-        rec.sweeps = hdr.sweeps;
-        rec.allocs = hdr.allocs;
-        rec.frees = hdr.frees;
-        rec.checksum = hdr.checksum;
-        rec.emergency_sweeps = hdr.emergency_sweeps;
-        rec.commit_retries = hdr.commit_retries;
-        rec.watchdog_fallbacks = hdr.watchdog_fallbacks;
-        rec.oom_returns = hdr.oom_returns;
-        rec.failed_allocs = hdr.failed_allocs;
-        rec.op_latency = hdr.op_latency;
-        rec.sweep_pause = hdr.sweep_pause;
-        rec.pause_total_ns = hdr.pause_total_ns;
-        rec.stw_total_ns = hdr.stw_total_ns;
-        rec.phase_dirty_scan_ns = hdr.phase_dirty_scan_ns;
-        rec.phase_mark_ns = hdr.phase_mark_ns;
-        rec.phase_drain_ns = hdr.phase_drain_ns;
-        rec.phase_release_ns = hdr.phase_release_ns;
-        rec.rss_series.reserve(hdr.series_len);
-        for (std::uint64_t i = 0; i < hdr.series_len && ok; ++i) {
-            WireSample s;
-            ok = read_fully(fds[0], &s, sizeof(s), timeout_s);
-            if (ok)
-                rec.rss_series.emplace_back(s.t, s.rss);
-        }
+        static_cast<RunHead&>(rec) = head;
+        rec.rss_series.reserve(series_len);
+    }
+    for (std::uint64_t i = 0; i < series_len && ok; ++i) {
+        WireSample s;
+        ok = read_fully(fds[0], &s, sizeof(s), timeout_s);
+        if (ok)
+            rec.rss_series.emplace_back(s.t, s.rss);
     }
     ::close(fds[0]);
 

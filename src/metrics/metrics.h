@@ -25,41 +25,38 @@
 #include <vector>
 
 #include "metrics/histogram.h"
+#include "metrics/stat_list.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
 namespace msw::metrics {
 
-/** Wall-clock + CPU-time measurements and counters for one run. */
-struct RunRecord {
+/**
+ * The fixed-size part of a RunRecord. Trivially copyable: the fork pipe
+ * ships it as raw bytes (the writer and the reader are the same image).
+ */
+struct RunHead {
     double wall_s = 0;
     double cpu_s = 0;          ///< Process CPU time (all threads).
     std::size_t avg_rss = 0;   ///< Mean sampled RSS (bytes).
     std::size_t peak_rss = 0;  ///< Max sampled RSS (bytes).
-    std::uint64_t sweeps = 0;
     std::uint64_t allocs = 0;
     std::uint64_t frees = 0;
-    std::uint64_t checksum = 0;  ///< Workload output (validity check).
+    std::uint64_t checksum = 0;       ///< Workload output (validity check).
+    std::uint64_t failed_allocs = 0;  ///< Workload-observed nullptrs.
 
-    // Resilience counters (memory-pressure degradation, see core/options.h).
-    std::uint64_t emergency_sweeps = 0;    ///< Reclaims run from alloc().
-    std::uint64_t commit_retries = 0;      ///< alloc() retries after failure.
-    std::uint64_t watchdog_fallbacks = 0;  ///< Synchronous watchdog sweeps.
-    std::uint64_t oom_returns = 0;         ///< alloc() nullptr returns.
-    std::uint64_t failed_allocs = 0;       ///< Workload-observed nullptrs.
+    /** The runtime's counters (every MSW_STAT_LIST row plus sweeps). */
+    StatSnapshot counters;
 
-    // Telemetry (observability layer, DESIGN.md §14): per-operation
-    // request latency and the runtime's pause/phase breakdown.
-    LatencySummary op_latency;     ///< Workload request latency digest.
-    LatencySummary sweep_pause;    ///< Backpressure pause digest.
-    std::uint64_t pause_total_ns = 0;       ///< Sum of allocation pauses.
-    std::uint64_t stw_total_ns = 0;         ///< Sum of STW windows.
-    std::uint64_t phase_dirty_scan_ns = 0;  ///< Per-phase sweep totals.
-    std::uint64_t phase_mark_ns = 0;
-    std::uint64_t phase_drain_ns = 0;
-    std::uint64_t phase_release_ns = 0;
+    // Telemetry (observability layer, DESIGN.md §14).
+    LatencySummary op_latency;   ///< Workload request latency digest.
+    LatencySummary sweep_pause;  ///< Backpressure pause digest.
 
     bool ok = false;  ///< Child completed successfully.
+};
+
+/** Wall-clock + CPU-time measurements and counters for one run. */
+struct RunRecord : RunHead {
     /** RSS series: (seconds since start, bytes). */
     std::vector<std::pair<double, std::size_t>> rss_series;
 };

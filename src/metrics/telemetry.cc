@@ -21,9 +21,6 @@ char g_dump_path[1024];
 
 std::atomic<bool> g_usr2_installed{false};
 
-/// Maximum counters a provider may export through one dump.
-constexpr std::size_t kMaxCounters = 32;
-
 bool
 env_truthy(const char* v)
 {
@@ -242,6 +239,19 @@ telemetry_dump_sigsafe(int fd)
     }
     w.str("== end telemetry ==\n");
     w.flush();
+}
+
+std::size_t
+export_counters(const StatSnapshot& s, TelemetryCounter* out,
+                std::size_t cap)
+{
+    if (cap == 0)
+        return 0;
+    out[0] = TelemetryCounter{"sweeps", s.sweeps};
+    std::size_t n = 1;
+    for (unsigned i = 0; i < kStatCount && n < cap; ++i)
+        out[n++] = TelemetryCounter{kStatNames[i], s.values[i]};
+    return n;
 }
 
 void

@@ -29,6 +29,7 @@
 #include <cstdint>
 
 #include "metrics/histogram.h"
+#include "metrics/stat_list.h"
 #include "metrics/trace_ring.h"
 
 namespace msw::metrics {
@@ -41,11 +42,22 @@ struct TelemetryCounter {
 
 /**
  * Provider filling @p out (capacity @p cap) with runtime counters; the
- * shim registers one reading SweepStats. Must be async-signal-safe:
- * the SIGUSR2 handler calls it.
+ * shim registers one exporting its runtime's counters(). Must be
+ * async-signal-safe: the SIGUSR2 handler calls it.
  */
 using TelemetryCounterFn = std::size_t (*)(TelemetryCounter* out,
                                            std::size_t cap);
+
+/** Most counters a provider may export through one dump. */
+inline constexpr std::size_t kMaxCounters = 32;
+
+/**
+ * Fill @p out with `sweeps` and then every MSW_STAT_LIST row of @p s
+ * under its export name; returns how many were written (at most @p
+ * cap). Async-signal-safe.
+ */
+std::size_t export_counters(const StatSnapshot& s, TelemetryCounter* out,
+                            std::size_t cap);
 
 class Telemetry
 {

@@ -118,10 +118,13 @@ scan_maps_roots()
     return roots;
 }
 
+static_assert(msw::metrics::kStatCount + 1 <= msw::metrics::kMaxCounters,
+              "every counter plus sweeps must fit one telemetry dump");
+
 /**
- * Telemetry counter provider: the runtime counters exported through
- * MSW_STATS_DUMP and the SIGUSR2 dump. Async-signal-safe — sweep_stats()
- * is relaxed atomic reads into a stack struct, no allocation.
+ * Telemetry counter provider: every runtime counter, exported through
+ * MSW_STATS_DUMP and the SIGUSR2 dump. Async-signal-safe — counters() is
+ * relaxed atomic reads into a stack struct, no allocation.
  */
 std::size_t
 shim_counters(msw::metrics::TelemetryCounter* out, std::size_t cap)
@@ -130,29 +133,7 @@ shim_counters(msw::metrics::TelemetryCounter* out, std::size_t cap)
         g_engine == nullptr) {
         return 0;
     }
-    const msw::core::SweepStats s = g_engine->sweep_stats();
-    std::size_t n = 0;
-    const auto put = [&](const char* name, std::uint64_t v) {
-        if (n < cap)
-            out[n++] = msw::metrics::TelemetryCounter{name, v};
-    };
-    put("sweeps", s.sweeps);
-    put("entries_released", s.entries_released);
-    put("bytes_released", s.bytes_released);
-    put("failed_frees", s.failed_frees);
-    put("double_frees", s.double_frees);
-    put("bytes_scanned", s.bytes_scanned);
-    put("sweep_cpu_ns", s.sweep_cpu_ns);
-    put("stw_ns", s.stw_ns);
-    put("pause_ns", s.pause_ns);
-    put("phase_dirty_scan_ns", s.phase_dirty_scan_ns);
-    put("phase_mark_ns", s.phase_mark_ns);
-    put("phase_drain_ns", s.phase_drain_ns);
-    put("phase_release_ns", s.phase_release_ns);
-    put("emergency_sweeps", s.emergency_sweeps);
-    put("watchdog_fallbacks", s.watchdog_fallbacks);
-    put("oom_returns", s.oom_returns);
-    return n;
+    return msw::metrics::export_counters(g_engine->counters(), out, cap);
 }
 
 MineSweeper*

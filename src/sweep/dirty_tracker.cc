@@ -259,13 +259,16 @@ MprotectTracker::~MprotectTracker()
 void
 MprotectTracker::begin(const std::vector<Range>& ranges)
 {
-    MSW_CHECK(!active_);
+    // msw-relaxed(dirty-pages): only the collector writes active_; this
+    // reads its own last store.
+    MSW_CHECK(!active_.load(std::memory_order_relaxed));
     tracked_.clear();
     for (const Range& r : ranges) {
         if (heap_->contains(r.base))
             tracked_.push_back(r);
     }
-    active_ = true;
+    // Opens the epoch for the commit hook; pairs with note_committed().
+    active_.store(true, std::memory_order_release);
     for (const Range& r : tracked_) {
         const std::uintptr_t lo = align_down(r.base, vm::kPageSize);
         const std::uintptr_t hi = align_up(r.end(), vm::kPageSize);
@@ -331,7 +334,8 @@ MprotectTracker::describe_fault(std::uintptr_t addr) const
 void
 MprotectTracker::note_committed(std::uintptr_t addr, std::size_t len)
 {
-    if (!active_)
+    // Pairs with the release stores in begin() and end_collect().
+    if (!active_.load(std::memory_order_acquire))
         return;
     const std::uintptr_t lo = align_down(addr, vm::kPageSize);
     const std::uintptr_t hi = align_up(addr + len, vm::kPageSize);
@@ -346,7 +350,8 @@ MprotectTracker::note_committed(std::uintptr_t addr, std::size_t len)
 void
 MprotectTracker::end_collect(std::vector<Range>& out)
 {
-    MSW_CHECK(active_);
+    // msw-relaxed(dirty-pages): collector-only read of its own store.
+    MSW_CHECK(active_.load(std::memory_order_relaxed));
     // Restore write access on still-protected pages and harvest dirty runs.
     for (const Range& r : tracked_) {
         const std::uintptr_t lo = align_down(r.base, vm::kPageSize);
@@ -377,7 +382,7 @@ MprotectTracker::end_collect(std::vector<Range>& out)
         if (run.len != 0)
             out.push_back(run);
     }
-    active_ = false;
+    active_.store(false, std::memory_order_release);
     tracked_.clear();
 }
 

@@ -18,6 +18,7 @@
  */
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -158,7 +159,9 @@ class MprotectTracker final : public DirtyTracker
     unsigned char* page_state_ = nullptr;
     std::size_t num_pages_ = 0;
     std::vector<Range> tracked_;
-    bool active_ = false;
+    /** Epoch open: written by the collector (begin/end_collect), read by
+     *  mutators through the commit hook (note_committed). */
+    std::atomic<bool> active_{false};
     bool (*committed_filter_)(std::uintptr_t, void*) = nullptr;
     void* committed_filter_arg_ = nullptr;
 };

@@ -34,25 +34,13 @@ measure(SystemKind kind,
             rec.avg_rss = sampler.average();
             rec.peak_rss = sampler.peak();
             rec.rss_series = sampler.series();
-            rec.sweeps = sys.sweeps();
             rec.allocs = result.allocs;
             rec.frees = result.frees;
             rec.checksum = result.checksum;
             rec.failed_allocs = result.failed_allocs;
-            const System::Resilience res = sys.resilience();
-            rec.emergency_sweeps = res.emergency_sweeps;
-            rec.commit_retries = res.commit_retries;
-            rec.watchdog_fallbacks = res.watchdog_fallbacks;
-            rec.oom_returns = res.oom_returns;
             rec.op_latency = result.op_latency;
             rec.sweep_pause = metrics::telemetry().pause_ns.summarize();
-            const System::PhaseTotals ph = sys.phases();
-            rec.pause_total_ns = ph.pause_ns;
-            rec.stw_total_ns = ph.stw_ns;
-            rec.phase_dirty_scan_ns = ph.dirty_scan_ns;
-            rec.phase_mark_ns = ph.mark_ns;
-            rec.phase_drain_ns = ph.drain_ns;
-            rec.phase_release_ns = ph.release_ns;
+            rec.counters = sys.counters();
             rec.ok = true;
             return rec;
         },

@@ -26,11 +26,29 @@ system_kind_name(SystemKind kind)
     return "unknown";
 }
 
+namespace {
+
+/** The hooks every quarantine runtime (MineSweeper, MarkUs) provides. */
+void
+wire_quarantine_runtime(System& sys, core::QuarantineRuntime* raw)
+{
+    sys.add_root = [raw](const void* base, std::size_t len) {
+        raw->add_root(base, len);
+    };
+    sys.remove_root = [raw](const void* base) { raw->remove_root(base); };
+    sys.register_thread = [raw] { raw->register_mutator_thread(); };
+    sys.unregister_thread = [raw] { raw->unregister_mutator_thread(); };
+    sys.flush = [raw] { raw->flush(); };
+}
+
+}  // namespace
+
 System
 make_system(SystemKind kind, const core::Options& msw_options)
 {
     System sys;
     sys.name = system_kind_name(kind);
+    core::RuntimeBase* runtime = nullptr;
     switch (kind) {
       case SystemKind::kBaseline: {
         // The paper's baseline is unmodified jemalloc with its stock
@@ -46,76 +64,28 @@ make_system(SystemKind kind, const core::Options& msw_options)
                      ? core::Mode::kMostlyConcurrent
                      : o.mode;
         auto ms = std::make_unique<core::MineSweeper>(o);
-        core::MineSweeper* raw = ms.get();
-        sys.add_root = [raw](const void* base, std::size_t len) {
-            raw->add_root(base, len);
-        };
-        sys.remove_root = [raw](const void* base) {
-            raw->remove_root(base);
-        };
-        sys.register_thread = [raw] { raw->register_mutator_thread(); };
-        sys.unregister_thread = [raw] {
-            raw->unregister_mutator_thread();
-        };
-        sys.flush = [raw] { raw->flush(); };
-        sys.sweeps = [raw] { return raw->sweep_stats().sweeps; };
-        sys.resilience = [raw] {
-            const core::SweepStats st = raw->sweep_stats();
-            System::Resilience r;
-            r.emergency_sweeps = st.emergency_sweeps;
-            r.commit_retries = st.commit_retries;
-            r.watchdog_fallbacks = st.watchdog_fallbacks;
-            r.oom_returns = st.oom_returns;
-            return r;
-        };
-        sys.phases = [raw] {
-            const core::SweepStats st = raw->sweep_stats();
-            System::PhaseTotals p;
-            p.dirty_scan_ns = st.phase_dirty_scan_ns;
-            p.mark_ns = st.phase_mark_ns;
-            p.drain_ns = st.phase_drain_ns;
-            p.release_ns = st.phase_release_ns;
-            p.stw_ns = st.stw_ns;
-            p.pause_ns = st.pause_ns;
-            return p;
-        };
+        wire_quarantine_runtime(sys, ms.get());
+        runtime = ms.get();
         sys.allocator = std::move(ms);
         break;
       }
       case SystemKind::kMarkUs: {
         auto mu = std::make_unique<baseline::MarkUs>();
-        baseline::MarkUs* raw = mu.get();
-        sys.add_root = [raw](const void* base, std::size_t len) {
-            raw->add_root(base, len);
-        };
-        sys.remove_root = [raw](const void* base) {
-            raw->remove_root(base);
-        };
-        sys.register_thread = [raw] { raw->register_mutator_thread(); };
-        sys.unregister_thread = [raw] {
-            raw->unregister_mutator_thread();
-        };
-        sys.flush = [raw] { raw->flush(); };
-        sys.sweeps = [raw] { return raw->marks_done(); };
-        sys.phases = [raw] {
-            System::PhaseTotals p;
-            p.dirty_scan_ns = raw->stat_ns(core::Stat::kPhaseDirtyScanNs);
-            p.mark_ns = raw->stat_ns(core::Stat::kPhaseMarkNs);
-            p.drain_ns = raw->stat_ns(core::Stat::kPhaseDrainNs);
-            p.release_ns = raw->stat_ns(core::Stat::kPhaseReleaseNs);
-            p.stw_ns = raw->stat_ns(core::Stat::kStwNs);
-            p.pause_ns = raw->stat_ns(core::Stat::kPauseNs);
-            return p;
-        };
+        wire_quarantine_runtime(sys, mu.get());
+        runtime = mu.get();
         sys.allocator = std::move(mu);
         break;
       }
       case SystemKind::kFFMalloc: {
-        sys.allocator = std::make_unique<baseline::FFMalloc>();
+        auto ff = std::make_unique<baseline::FFMalloc>();
+        runtime = ff.get();
+        sys.allocator = std::move(ff);
         break;
       }
     }
     MSW_CHECK(sys.allocator != nullptr);
+    if (runtime != nullptr)
+        sys.counters = [runtime] { return runtime->counters(); };
     return sys;
 }
 

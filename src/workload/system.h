@@ -13,6 +13,7 @@
 
 #include "alloc/allocator.h"
 #include "core/options.h"
+#include "metrics/stat_list.h"
 
 namespace msw::workload {
 
@@ -39,31 +40,11 @@ struct System {
     /** Quiesce background machinery before final measurements. */
     std::function<void()> flush = [] {};
 
-    /** Sweep/marking-pass count (0 for non-sweeping systems). */
-    std::function<std::uint64_t()> sweeps = [] {
-        return std::uint64_t{0};
+    /** Every runtime counter plus the sweep/marking-pass count (all
+        zero for the JadeHeap baseline, which keeps none). */
+    std::function<metrics::StatSnapshot()> counters = [] {
+        return metrics::StatSnapshot{};
     };
-
-    /** Resilience counters (zero for systems without a degraded mode). */
-    struct Resilience {
-        std::uint64_t emergency_sweeps = 0;
-        std::uint64_t commit_retries = 0;
-        std::uint64_t watchdog_fallbacks = 0;
-        std::uint64_t oom_returns = 0;
-    };
-    std::function<Resilience()> resilience = [] { return Resilience{}; };
-
-    /** Sweep pause/phase time totals (telemetry layer; zero for
-        non-sweeping systems). */
-    struct PhaseTotals {
-        std::uint64_t dirty_scan_ns = 0;
-        std::uint64_t mark_ns = 0;
-        std::uint64_t drain_ns = 0;
-        std::uint64_t release_ns = 0;
-        std::uint64_t stw_ns = 0;
-        std::uint64_t pause_ns = 0;
-    };
-    std::function<PhaseTotals()> phases = [] { return PhaseTotals{}; };
 };
 
 /** Identifiers accepted by make_system(). */

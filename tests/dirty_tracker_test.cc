@@ -2,11 +2,13 @@
 // soft-dirty and mprotect implementations are held to the same contract.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <functional>
 #include <memory>
 #include <ostream>
 #include <string>
+#include <thread>
 
 #include "sweep/dirty_tracker.h"
 #include "util/bits.h"
@@ -180,6 +182,30 @@ TEST(MprotectTrackerTest, NoteCommittedMarksDirty)
         found |= r.base <= heap.base() + 64 * 1024 &&
                  heap.base() + 64 * 1024 < r.end();
     EXPECT_TRUE(found);
+}
+
+// The sweeper opens and closes epochs while mutators report freshly
+// committed pages through the commit hook. Registered under the tsan
+// label: a thread-sanitizer build flags any unsynchronised access to the
+// tracker's epoch state between the two sides.
+TEST(MprotectTrackerRace, CommitHookRacesEpochBoundaries)
+{
+    vm::Reservation heap = vm::Reservation::reserve(1 << 20);
+    heap.commit_must(heap.base(), heap.size());
+    MprotectTracker tracker(&heap);
+    std::atomic<bool> stop{false};
+    std::thread committer([&] {
+        while (!stop.load(std::memory_order_acquire))
+            tracker.note_committed(heap.base() + 64 * 1024, 4096);
+    });
+    std::vector<Range> dirty;
+    for (int i = 0; i < 2000; ++i) {
+        tracker.begin({Range{heap.base(), 1 << 20}});
+        dirty.clear();
+        tracker.end_collect(dirty);
+    }
+    stop.store(true, std::memory_order_release);
+    committer.join();
 }
 
 }  // namespace

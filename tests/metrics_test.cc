@@ -47,9 +47,14 @@ TEST(Sampler, ObservesAllocationGrowth)
     EXPECT_GE(sampler.series().size(), 2u);
 }
 
+// Also the counter surface's fork-pipe leg: a distinct value in every
+// MSW_STAT_LIST slot arrives intact in the parent.
 TEST(Subprocess, ReturnsChildRecord)
 {
-    const RunRecord rec = run_in_subprocess([] {
+    const auto slot_value = [](unsigned i) {
+        return 0x5100000000ull + 17u * i;
+    };
+    const RunRecord rec = run_in_subprocess([&] {
         RunRecord r;
         r.wall_s = 1.5;
         r.cpu_s = 0.5;
@@ -58,7 +63,9 @@ TEST(Subprocess, ReturnsChildRecord)
         r.checksum = 0xabcd;
         r.avg_rss = 1000;
         r.peak_rss = 2000;
-        r.sweeps = 7;
+        r.counters.sweeps = 7;
+        for (unsigned i = 0; i < kStatCount; ++i)
+            r.counters.values[i] = slot_value(i);
         r.rss_series = {{0.1, 500}, {0.2, 1500}};
         return r;
     });
@@ -66,7 +73,9 @@ TEST(Subprocess, ReturnsChildRecord)
     EXPECT_DOUBLE_EQ(rec.wall_s, 1.5);
     EXPECT_EQ(rec.allocs, 42u);
     EXPECT_EQ(rec.checksum, 0xabcdu);
-    EXPECT_EQ(rec.sweeps, 7u);
+    EXPECT_EQ(rec.counters.sweeps, 7u);
+    for (unsigned i = 0; i < kStatCount; ++i)
+        EXPECT_EQ(rec.counters.values[i], slot_value(i)) << kStatNames[i];
     ASSERT_EQ(rec.rss_series.size(), 2u);
     EXPECT_EQ(rec.rss_series[1].second, 1500u);
 }

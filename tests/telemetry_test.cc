@@ -10,6 +10,7 @@
 #include <fcntl.h>
 #include <string>
 #include <unistd.h>
+#include <vector>
 
 #include "core/minesweeper.h"
 #include "metrics/telemetry.h"
@@ -208,6 +209,61 @@ TEST_F(TelemetryTest, NowNsIsMonotonic)
     const std::uint64_t b = telemetry_now_ns();
     EXPECT_GE(b, a);
     EXPECT_GT(b, 0u);
+}
+
+// Counter surface: the MSW_STATS_DUMP (JSON) and SIGUSR2 (text) exports
+// of a live MineSweeper name every MSW_STAT_LIST row, plus sweeps.
+const core::MineSweeper* g_exported = nullptr;
+
+std::size_t
+export_live(TelemetryCounter* out, std::size_t cap)
+{
+    return export_counters(g_exported->counters(), out, cap);
+}
+
+TEST_F(TelemetryTest, DumpsExportEveryStat)
+{
+    core::MineSweeper msw;
+    void* p = msw.alloc(64);
+    ASSERT_NE(p, nullptr);
+    msw.free(p);
+    msw.force_sweep();
+
+    TelemetryCounter buf[kMaxCounters];
+    EXPECT_EQ(export_counters(msw.counters(), buf, kMaxCounters),
+              kStatCount + 1);
+
+    g_exported = &msw;
+    telemetry().counter_fn.store(&export_live, std::memory_order_relaxed);
+    const std::string json_path = temp_path("counters_json");
+    const bool wrote = telemetry_write_json(json_path.c_str());
+    const std::string text_path = temp_path("counters_text");
+    const int fd =
+        ::open(text_path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0600);
+    if (fd >= 0) {
+        telemetry_dump_sigsafe(fd);
+        ::close(fd);
+    }
+    telemetry().counter_fn.store(nullptr, std::memory_order_relaxed);
+    g_exported = nullptr;
+    ASSERT_TRUE(wrote);
+    ASSERT_GE(fd, 0);
+    const std::string json = slurp(json_path);
+    const std::string text = slurp(text_path);
+    ::unlink(json_path.c_str());
+    ::unlink(text_path.c_str());
+
+    std::vector<std::string> names = {"sweeps"};
+    for (const char* name : kStatNames)
+        names.emplace_back(name);
+    for (const std::string& name : names) {
+        EXPECT_NE(json.find("\"" + name + "\": "), std::string::npos)
+            << name;
+        EXPECT_NE(text.find("counter " + name + "="), std::string::npos)
+            << name;
+    }
+    EXPECT_EQ(text.find("counter sweeps=0\n"), std::string::npos)
+        << "the forced sweep is counted";
 }
 
 }  // namespace

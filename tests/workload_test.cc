@@ -2,6 +2,8 @@
 // system factory, SPEC profile tables, and stress-kernel smoke runs.
 #include <gtest/gtest.h>
 
+#include "baselines/markus.h"
+#include "core/minesweeper.h"
 #include "workload/executor.h"
 #include "workload/mimalloc_kernels.h"
 #include "workload/runner.h"
@@ -98,7 +100,7 @@ TEST(Executor, MineSweeperSweepsUnderChurnProfile)
     o.min_sweep_bytes = 64 * 1024;
     System sys = make_system(SystemKind::kMineSweeper, o);
     run_profile(sys, p);
-    EXPECT_GT(sys.sweeps(), 0u);
+    EXPECT_GT(sys.counters().sweeps, 0u);
 }
 
 TEST(SpecProfiles, SuitesHaveExpectedBenchmarks)
@@ -200,7 +202,51 @@ TEST(Runner, ChecksumsIdenticalAcrossSubprocessRuns)
     ASSERT_TRUE(a.ok);
     ASSERT_TRUE(b.ok);
     EXPECT_EQ(a.checksum, b.checksum);
-    EXPECT_GT(b.sweeps, 0u);
+    EXPECT_GT(b.counters.sweeps, 0u);
+}
+
+// Counter surface: make_system's snapshot carries every MSW_STAT_LIST row
+// of each runtime-backed system in its own slot, plus the sweep count.
+TEST(CounterSurface, SystemSnapshotCarriesEveryStat)
+{
+    for (const SystemKind kind :
+         {SystemKind::kMineSweeper, SystemKind::kMarkUs,
+          SystemKind::kFFMalloc}) {
+        System sys = make_system(kind);
+        SCOPED_TRACE(sys.name);
+        void* p = sys.allocator->alloc(64);
+        sys.allocator->free(p);
+        if (auto* ms = dynamic_cast<core::MineSweeper*>(sys.allocator.get()))
+            ms->force_sweep();
+        if (auto* mu = dynamic_cast<baseline::MarkUs*>(sys.allocator.get()))
+            mu->force_mark();
+
+        // A distinct mark in the high half of every cell: natural counts
+        // stay far below 2^32 here, so the high half names the slot.
+        auto& cells =
+            dynamic_cast<core::RuntimeBase&>(*sys.allocator).stat_cells();
+        const auto mark = [](unsigned i) {
+            return std::uint64_t{i + 1} << 32;
+        };
+        for (unsigned i = 0; i < metrics::kStatCount; ++i)
+            cells.add(static_cast<metrics::Stat>(i), mark(i));
+        const metrics::StatSnapshot snap = sys.counters();
+        for (unsigned i = 0; i < metrics::kStatCount; ++i) {
+            EXPECT_EQ(snap.values[i] >> 32, i + 1)
+                << metrics::kStatNames[i];
+            cells.sub(static_cast<metrics::Stat>(i), mark(i));
+        }
+        EXPECT_GE(snap[metrics::Stat::kAllocCalls], 1u);
+        if (kind == SystemKind::kFFMalloc)
+            EXPECT_EQ(snap.sweeps, 0u);
+        else
+            EXPECT_GE(snap.sweeps, 1u);
+    }
+    System baseline = make_system(SystemKind::kBaseline);
+    const metrics::StatSnapshot zero = baseline.counters();
+    EXPECT_EQ(zero.sweeps, 0u);
+    for (unsigned i = 0; i < metrics::kStatCount; ++i)
+        EXPECT_EQ(zero.values[i], 0u) << metrics::kStatNames[i];
 }
 
 }  // namespace

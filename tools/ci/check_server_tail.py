@@ -16,7 +16,8 @@ EXPECTED_SYSTEMS = ("baseline", "markus", "ffmalloc", "minesweeper")
 LATENCY_KEYS = ("count", "mean_ns", "p50_ns", "p90_ns", "p99_ns",
                 "p999_ns", "max_ns")
 DIGEST_KEYS = ("op_latency_ns", "sweep_pause_ns")
-TOTAL_KEYS = ("pause_total_ns", "stw_total_ns", "phase_dirty_scan_ns",
+# Runtime counter totals, keyed by their MSW_STAT_LIST names.
+TOTAL_KEYS = ("pause_ns", "stw_ns", "phase_dirty_scan_ns",
               "phase_mark_ns", "phase_drain_ns", "phase_release_ns")
 
 
