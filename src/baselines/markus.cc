@@ -1,9 +1,6 @@
 #include "baselines/markus.h"
 
-#include "core/sweep_controller.h"
-#include "metrics/telemetry.h"
 #include "sweep/residency.h"
-#include "sweep/sweeper.h"
 #include "util/bits.h"
 #include "util/log.h"
 
@@ -66,11 +63,11 @@ MarkUs::alloc_slow(std::size_t request, std::size_t alignment)
 {
     // Memory pressure: marking passes both release unreferenced
     // quarantined objects and purge the allocator's free structures
-    // (run_mark ends with purge_all), so a forced pass is the strongest
+    // (run_mark closes with a purge), so a forced pass is the strongest
     // reclaim available. Match MineSweeper's contract: never abort,
     // return nullptr only once reclaim stops helping.
     for (unsigned attempt = 0; attempt < 3; ++attempt) {
-        force_mark();
+        force_sweep();
         void* p = alignment == 0 ? jade_.alloc(request)
                                  : jade_.alloc_aligned(alignment, request);
         if (p != nullptr)
@@ -166,8 +163,11 @@ MarkUs::scan_for_objects(std::uintptr_t base, std::size_t len,
 }
 
 void
-MarkUs::drain_worklist(std::vector<Range>* worklist)
+MarkUs::mark_from(const std::vector<Range>& ranges,
+                  std::vector<Range>* worklist)
 {
+    for (const Range& r : ranges)
+        scan_for_objects(r.base, r.len, worklist);
     while (!worklist->empty()) {
         const Range r = worklist->back();
         worklist->pop_back();
@@ -178,73 +178,30 @@ MarkUs::drain_worklist(std::vector<Range>* worklist)
 void
 MarkUs::run_mark()
 {
-    reclaimer_.begin_scan();
-    quarantine_.lock_in(locked_in_);
-    if (locked_in_.empty()) {
-        reclaimer_.end_scan();
+    if (!open_sweep())
         return;
-    }
-
-    const std::uint64_t cpu0 = sweep::thread_cpu_ns();
-    const std::uint64_t mark_t0 = core::monotonic_ns();
-    metrics::telemetry().trace_event(metrics::TraceEvent::kSweepBegin,
-                                     locked_in_.size());
-
-    // Phase 1a (dirty-scan): arm the write tracker.
-    tracker_->begin(access_map_.committed_runs());
-    const std::uint64_t dirty_ns = core::monotonic_ns() - mark_t0;
-    stats_.add(Stat::kPhaseDirtyScanNs, dirty_ns);
-    metrics::telemetry().trace_event(metrics::TraceEvent::kPhaseDirtyScan,
-                                     dirty_ns);
+    arm_tracker();
 
     // Phase 1b: concurrent transitive mark from the roots.
+    const std::uint64_t mark_t0 = core::monotonic_ns();
     std::vector<Range> worklist;
-    std::vector<Range> root_scan;
     std::vector<Range> root_ranges = roots_.roots();
     for (const Range& r : roots_.stacks())
         root_ranges.push_back(r);
+    std::vector<Range> root_scan;
     sweep::append_resident_subranges(root_ranges, &root_scan);
-    for (const Range& r : root_scan)
-        scan_for_objects(r.base, r.len, &worklist);
-    drain_worklist(&worklist);
+    mark_from(root_scan, &worklist);
 
-    // Phase 2: stop-the-world recheck — rescan dirtied pages, stacks and
-    // registers, continuing the transitive closure to a fixpoint
-    // (Boehm's mostly-parallel collection).
-    const std::uint64_t stw_t0 = core::monotonic_ns();
-    roots_.stop_world();
-    std::vector<Range> rescan;
-    tracker_->end_collect(rescan);
-    std::vector<Range> stw_roots = roots_.stacks_stw();
-    if (!tracker_->tracks_arbitrary_memory()) {
-        for (const Range& r : roots_.roots_stw())
-            stw_roots.push_back(r);
-    }
-    sweep::append_resident_subranges(stw_roots, &rescan);
-    for (const Range& r : roots_.parked_registers())
-        rescan.push_back(r);
-    for (const Range& r : rescan)
-        scan_for_objects(r.base, r.len, &worklist);
-    drain_worklist(&worklist);
-    roots_.resume_world();
-    const std::uint64_t stw_ns = core::monotonic_ns() - stw_t0;
-    stats_.add(Stat::kStwNs, stw_ns);
-    metrics::telemetry().trace_event(metrics::TraceEvent::kStwPause,
-                                     stw_ns);
+    // Phase 2: stop-the-world recheck, continuing the transitive closure
+    // to a fixpoint (Boehm's mostly-parallel collection).
+    stw_recheck([&](const std::vector<Range>& rescan) {
+        mark_from(rescan, &worklist);
+    });
     // Mark phase: both transitive passes (the STW recheck included).
-    const std::uint64_t mark_ns = core::monotonic_ns() - mark_t0 - dirty_ns;
-    stats_.add(Stat::kPhaseMarkNs, mark_ns);
-    metrics::telemetry().trace_event(metrics::TraceEvent::kPhaseMark,
-                                     mark_ns);
+    record_phase(Stat::kPhaseMarkNs, metrics::TraceEvent::kPhaseMark,
+                 core::monotonic_ns() - mark_t0);
 
-    // Deferred unmaps before release: every affected entry is still
-    // quarantined here and its pages have been scanned.
-    const std::uint64_t drain_t0 = core::monotonic_ns();
-    reclaimer_.drain_pending();
-    const std::uint64_t drain_ns = core::monotonic_ns() - drain_t0;
-    stats_.add(Stat::kPhaseDrainNs, drain_ns);
-    metrics::telemetry().trace_event(metrics::TraceEvent::kPhaseDrain,
-                                     drain_ns);
+    drain_phase();
 
     // Phase 3: release unmarked quarantined allocations.
     const std::uint64_t release_t0 = core::monotonic_ns();
@@ -263,30 +220,13 @@ MarkUs::run_mark()
         reclaimer_.release_entries(releasable.data(), releasable.size(),
                                    &failed)
             .entries;
-    const std::uint64_t release_ns = core::monotonic_ns() - release_t0;
-    stats_.add(Stat::kPhaseReleaseNs, release_ns);
-    metrics::telemetry().trace_event(metrics::TraceEvent::kPhaseRelease,
-                                     release_ns, released_n);
-    mark_bits_.clear_marks();
-    quarantine_.store_failed(std::move(failed));
-
-    reclaimer_.end_scan();
+    record_phase(Stat::kPhaseReleaseNs, metrics::TraceEvent::kPhaseRelease,
+                 core::monotonic_ns() - release_t0, released_n);
 
     // MarkUs aggressively reclaims allocator free structures after a
     // marking pass (the paper notes this need for large quarantines).
-    jade_.purge_all();
-
-    stats_.add(Stat::kSweepCpuNs, sweep::thread_cpu_ns() - cpu0);
-    metrics::telemetry().trace_event(metrics::TraceEvent::kSweepEnd,
-                                     core::monotonic_ns() - mark_t0,
-                                     released_n);
-}
-
-void
-MarkUs::force_mark()
-{
-    quarantine_.flush_thread_buffer();
-    controller_.force_sweep();
+    close_sweep(std::move(failed), /*purge=*/true, released_n,
+                /*helper_cpu_ns=*/0);
 }
 
 }  // namespace msw::baseline

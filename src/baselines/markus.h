@@ -15,9 +15,10 @@
  *
  * All plumbing shared with MineSweeper — extent hooks, quarantine epochs,
  * double-free bitmap, root/thread registration, marker-thread lifecycle,
- * deferred unmaps — lives in core::QuarantineRuntime; this class keeps
- * only what makes MarkUs MarkUs: the transitive mark and the 25 %
- * trigger.
+ * deferred unmaps and the sweep frame around the mark — lives in
+ * core::QuarantineRuntime; this class keeps only what makes MarkUs
+ * MarkUs: the transitive mark, its release filter, the purge after every
+ * pass and the 25 % trigger.
  *
  * Fidelity notes:
  *  - 25 % quarantine threshold (the paper's MarkUs configuration, §3.2);
@@ -62,9 +63,6 @@ class MarkUs final : public core::QuarantineRuntime
     void* alloc_aligned(std::size_t alignment, std::size_t size) override;
     const char* name() const override { return "markus"; }
 
-    /** Run a full marking pass now and wait for it. */
-    void force_mark();
-
   private:
     void maybe_trigger_mark();
     /** Substrate-exhaustion path: forced marking passes, then nullptr. */
@@ -78,7 +76,9 @@ class MarkUs final : public core::QuarantineRuntime
     MSW_NO_SANITIZE_ADDRESS MSW_NO_SANITIZE_THREAD
     void scan_for_objects(std::uintptr_t base, std::size_t len,
                           std::vector<sweep::Range>* worklist);
-    void drain_worklist(std::vector<sweep::Range>* worklist);
+    /** Scan @p ranges, then every object they reach, transitively. */
+    void mark_from(const std::vector<sweep::Range>& ranges,
+                   std::vector<sweep::Range>* worklist);
 
     static Config make_config(const Options& opts);
 

@@ -14,10 +14,7 @@
 namespace msw::core {
 
 using quarantine::Entry;
-using sweep::MarkStats;
 using sweep::Range;
-using util::Failpoint;
-using util::failpoint_should_fail;
 
 QuarantineRuntime::Config
 MineSweeper::make_config(const Options& opts)
@@ -255,16 +252,9 @@ MineSweeper::free_impl(void* ptr)
         return;
     }
 
-    quarantine_free(ptr, t.base, t.usable, t.is_large);
-    maybe_trigger_sweep();
-}
-
-void
-MineSweeper::quarantine_free(void* ptr, std::uintptr_t base,
-                             std::size_t usable, bool is_large)
-{
     quarantine_.insert(
-        reclaimer_.quarantine_prepare(ptr, base, usable, is_large));
+        reclaimer_.quarantine_prepare(ptr, t.base, t.usable, t.is_large));
+    maybe_trigger_sweep();
 }
 
 // ------------------------------------------------------------- triggering
@@ -367,98 +357,34 @@ MineSweeper::set_extra_roots_provider(
 void
 MineSweeper::run_sweep()
 {
-    reclaimer_.begin_scan();
-    // Test hook: hold the sweep open while armed so tests can exercise
-    // the concurrent free()/deferred-unmap machinery deterministically.
-    while (failpoint_should_fail(Failpoint::kSweepDelay))
-        ::usleep(1000);
-    quarantine_.lock_in(locked_in_);
-    if (locked_in_.empty()) {
-        reclaimer_.end_scan();
+    if (!open_sweep())
         return;
-    }
-    // lock_in already ran the policy's release-order shuffle; count it.
-    if (config_.policy->shuffle != nullptr)
-        stats_.add(Stat::kReleaseShuffles);
-
-    const std::uint64_t cpu0 = sweep::thread_cpu_ns();
     const std::uint64_t helpers0 =
         workers_ != nullptr ? workers_->helper_cpu_ns() : 0;
-    // Phase timers (telemetry layer): the sweep is the slow path by
-    // construction, so the handful of clock reads below are recorded
-    // unconditionally; only trace-ring pushes are gated.
-    const std::uint64_t sweep_t0 = monotonic_ns();
-    metrics::telemetry().trace_event(metrics::TraceEvent::kSweepBegin,
-                                     locked_in_.size());
 
     if (opts_.sweep_enabled) {
-        // Phase 1a (dirty-scan): arm the write tracker over the ranges
-        // whose mutations the STW recheck must observe.
-        const std::uint64_t dirty_t0 = monotonic_ns();
-        const bool track = tracker_ != nullptr;
-        if (track) {
-            std::vector<Range> tracked = access_map_.committed_runs();
-            if (tracker_->tracks_arbitrary_memory()) {
-                for (const Range& r : roots_.roots())
-                    tracked.push_back(r);
-            }
-            tracker_->begin(tracked);
-        }
-        const std::uint64_t dirty_ns = monotonic_ns() - dirty_t0;
-        stats_.add(Stat::kPhaseDirtyScanNs, dirty_ns);
-        metrics::telemetry().trace_event(
-            metrics::TraceEvent::kPhaseDirtyScan, dirty_ns);
-
+        arm_tracker();
         // Phase 1b (mark): concurrent linear mark of all scannable
         // memory, plus the STW recheck when tracking.
         const std::uint64_t mark_t0 = monotonic_ns();
-        const MarkStats ms = marker_.mark_ranges(scan_ranges(),
-                                                 workers_.get());
-        stats_.add(Stat::kBytesScanned, ms.bytes_scanned);
-        std::uint64_t scanned = ms.bytes_scanned;
-
-        if (track) {
+        std::uint64_t scanned =
+            marker_.mark_ranges(scan_ranges(), workers_.get()).bytes_scanned;
+        if (tracker_ != nullptr) {
             // Phase 2 (mostly-concurrent only): brief stop-the-world
             // recheck of pages modified during phase 1 (§4.3).
-            const std::uint64_t t0 = monotonic_ns();
-            roots_.stop_world();
-            std::vector<Range> rescan;
-            tracker_->end_collect(rescan);
-            std::vector<Range> stw_roots = roots_.stacks_stw();
-            if (!tracker_->tracks_arbitrary_memory()) {
-                for (const Range& r : roots_.roots_stw())
-                    stw_roots.push_back(r);
-            }
-            sweep::append_resident_subranges(stw_roots, &rescan);
-            for (const Range& r : roots_.parked_registers())
-                rescan.push_back(r);
-            const MarkStats ms2 = marker_.mark_ranges(rescan,
-                                                      workers_.get());
-            roots_.resume_world();
-            stats_.add(Stat::kBytesScanned, ms2.bytes_scanned);
-            scanned += ms2.bytes_scanned;
-            const std::uint64_t stw_ns = monotonic_ns() - t0;
-            stats_.add(Stat::kStwNs, stw_ns);
-            metrics::telemetry().trace_event(
-                metrics::TraceEvent::kStwPause, stw_ns);
+            stw_recheck([&](const std::vector<Range>& rescan) {
+                scanned +=
+                    marker_.mark_ranges(rescan, workers_.get()).bytes_scanned;
+            });
         }
+        stats_.add(Stat::kBytesScanned, scanned);
         // The mark phase spans both passes (the STW window included:
         // its recheck is marking work; kStwNs isolates the stop itself).
-        const std::uint64_t mark_ns = monotonic_ns() - mark_t0;
-        stats_.add(Stat::kPhaseMarkNs, mark_ns);
-        metrics::telemetry().trace_event(metrics::TraceEvent::kPhaseMark,
-                                         mark_ns, scanned);
+        record_phase(Stat::kPhaseMarkNs, metrics::TraceEvent::kPhaseMark,
+                     monotonic_ns() - mark_t0, scanned);
     }
 
-    // Perform deferred page-unmaps now that marking is done: every
-    // affected entry is still quarantined at this point, so this is safe
-    // and the pages have already been scanned.
-    const std::uint64_t drain_t0 = monotonic_ns();
-    reclaimer_.drain_pending();
-    const std::uint64_t drain_ns = monotonic_ns() - drain_t0;
-    stats_.add(Stat::kPhaseDrainNs, drain_ns);
-    metrics::telemetry().trace_event(metrics::TraceEvent::kPhaseDrain,
-                                     drain_ns);
+    drain_phase();
 
     // Phase 3: walk the locked-in quarantine; release unmarked entries.
     // Each worker collects the releasable entries of each ticket and
@@ -545,7 +471,6 @@ MineSweeper::run_sweep()
     else
         release_job(0);
     const std::uint64_t release_ns = monotonic_ns() - release_t0;
-    stats_.add(Stat::kPhaseReleaseNs, release_ns);
 
     // The worker join published every worker's tally.
     std::vector<Entry> failed;
@@ -558,30 +483,19 @@ MineSweeper::run_sweep()
         sum.fill_checks += t.fill_checks;
         sum.fill_violations += t.fill_violations;
     }
-    const std::uint64_t released_n = sum.released;
-    metrics::telemetry().trace_event(metrics::TraceEvent::kPhaseRelease,
-                                     release_ns, released_n);
-    stats_.add(Stat::kEntriesReleased, released_n);
+    record_phase(Stat::kPhaseReleaseNs, metrics::TraceEvent::kPhaseRelease,
+                 release_ns, sum.released);
+    stats_.add(Stat::kEntriesReleased, sum.released);
     stats_.add(Stat::kBytesReleased, sum.released_bytes);
     stats_.add(Stat::kFailedFrees, sum.failed_count);
     stats_.add(Stat::kSweepFillChecks, sum.fill_checks);
     stats_.add(Stat::kCanaryViolations, sum.fill_violations);
-    mark_bits_.clear_marks();
-    quarantine_.store_failed(std::move(failed));
-
-    reclaimer_.end_scan();
-
-    // §4.5: full allocator purge synchronised with the end of the sweep.
-    if (opts_.purging)
-        jade_.purge_all();
 
     const std::uint64_t helpers1 =
         workers_ != nullptr ? workers_->helper_cpu_ns() : 0;
-    stats_.add(Stat::kSweepCpuNs, (sweep::thread_cpu_ns() - cpu0) +
-                                      (helpers1 - helpers0));
-    metrics::telemetry().trace_event(metrics::TraceEvent::kSweepEnd,
-                                     monotonic_ns() - sweep_t0,
-                                     released_n);
+    // §4.5: full allocator purge synchronised with the end of the sweep.
+    close_sweep(std::move(failed), opts_.purging, sum.released,
+                helpers1 - helpers0);
 }
 
 // ----------------------------------------------------- process lifecycle
@@ -650,13 +564,6 @@ MineSweeper::quiesce()
 }
 
 // ----------------------------------------------------------------- misc
-
-void
-MineSweeper::force_sweep()
-{
-    quarantine_.flush_thread_buffer();
-    controller_.force_sweep();
-}
 
 SweepStats
 MineSweeper::sweep_stats() const

@@ -88,9 +88,6 @@ class MineSweeper final : public QuarantineRuntime
 
     // ---------------------------------------------------------- Control
 
-    /** Trigger a sweep now and wait for it to complete. */
-    void force_sweep();
-
     SweepStats sweep_stats() const;
 
     const Options& options() const { return opts_; }
@@ -132,8 +129,6 @@ class MineSweeper final : public QuarantineRuntime
   private:
     /** free() body; the public entry only adds optional op timing. */
     void free_impl(void* ptr);
-    void quarantine_free(void* ptr, std::uintptr_t base, std::size_t usable,
-                         bool is_large);
     void maybe_trigger_sweep();
     void run_sweep();
     std::vector<sweep::Range> scan_ranges() const;

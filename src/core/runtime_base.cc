@@ -1,19 +1,25 @@
 #include "core/runtime_base.h"
 
-#include <ctime>
+#include <unistd.h>
 
 #include "alloc/extent.h"
 #include "alloc/policy.h"
 #include "alloc/size_classes.h"
 #include "core/lifecycle.h"
+#include "metrics/telemetry.h"
+#include "sweep/residency.h"
+#include "sweep/sweeper.h"
 #include "util/bits.h"
 #include "util/check.h"
+#include "util/failpoint.h"
 #include "util/log.h"
 
 namespace msw::core {
 
 using alloc::ExtentKind;
 using alloc::ExtentMeta;
+using metrics::TraceEvent;
+using quarantine::Entry;
 using sweep::Range;
 
 namespace {
@@ -25,6 +31,17 @@ shuffle_entries(quarantine::Entry* entries, std::size_t count, void* ctx)
 {
     static_cast<const alloc::AllocPolicy*>(ctx)->shuffle(
         entries, count, sizeof(quarantine::Entry));
+}
+
+/** Live bytes: the substrate's, less what sits in quarantine. Relaxed
+    loads only, so counters() stays async-signal-safe. */
+std::size_t
+live_bytes(const alloc::JadeAllocator& jade, const quarantine::Quarantine& q)
+{
+    const std::size_t quarantined =
+        q.pending_bytes() + q.failed_bytes() + q.unmapped_bytes();
+    const std::size_t jade_live = jade.live_bytes();
+    return jade_live > quarantined ? jade_live - quarantined : 0;
 }
 
 }  // namespace
@@ -190,6 +207,13 @@ QuarantineRuntime::flush()
 }
 
 void
+QuarantineRuntime::force_sweep()
+{
+    quarantine_.flush_thread_buffer();
+    controller_.force_sweep();
+}
+
+void
 QuarantineRuntime::add_root(const void* base, std::size_t len)
 {
     roots_.add_root(base, len);
@@ -221,13 +245,109 @@ QuarantineRuntime::unregister_mutator_thread()
     roots_.unregister_current_thread();
     // A sweep that snapshotted the stack list before the removal may
     // still be scanning this thread's stack; the thread must not exit
-    // (and its stack must not be unmapped) until that sweep drains.
-    while (controller_.sweep_in_progress()) {
-        struct timespec ts {
-            0, 1000000
-        };
-        ::nanosleep(&ts, nullptr);
+    // (and its stack must not be unmapped) until that sweep drains. The
+    // wait is on the sweep's ticket, not on the token, which shutdown()
+    // keeps claimed for good once no started sweep is left.
+    controller_.wait_for_sweep_completion(0);
+}
+
+// ------------------------------------------------------------ sweep frame
+
+bool
+QuarantineRuntime::open_sweep()
+{
+    reclaimer_.begin_scan();
+    // Test hook: hold the sweep open while armed so tests can exercise
+    // the concurrent free()/deferred-unmap machinery deterministically.
+    while (util::failpoint_should_fail(util::Failpoint::kSweepDelay))
+        ::usleep(1000);
+    quarantine_.lock_in(locked_in_);
+    if (locked_in_.empty()) {
+        reclaimer_.end_scan();
+        return false;
     }
+    // lock_in already ran the policy's release-order shuffle; count it.
+    if (config_.policy->shuffle != nullptr)
+        stats_.add(Stat::kReleaseShuffles);
+    // The sweep is the slow path by construction, so its clocks run
+    // unconditionally; only trace-ring pushes are gated.
+    sweep_cpu0_ns_ = sweep::thread_cpu_ns();
+    sweep_t0_ns_ = monotonic_ns();
+    metrics::telemetry().trace_event(TraceEvent::kSweepBegin,
+                                     locked_in_.size());
+    return true;
+}
+
+void
+QuarantineRuntime::arm_tracker()
+{
+    const std::uint64_t t0 = monotonic_ns();
+    if (tracker_ != nullptr) {
+        std::vector<Range> tracked = access_map_.committed_runs();
+        if (tracker_->tracks_arbitrary_memory()) {
+            for (const Range& r : roots_.roots())
+                tracked.push_back(r);
+        }
+        tracker_->begin(tracked);
+    }
+    record_phase(Stat::kPhaseDirtyScanNs, TraceEvent::kPhaseDirtyScan,
+                 monotonic_ns() - t0);
+}
+
+void
+QuarantineRuntime::stw_recheck(
+    const std::function<void(const std::vector<Range>&)>& mark)
+{
+    const std::uint64_t t0 = monotonic_ns();
+    roots_.stop_world();
+    std::vector<Range> rescan;
+    tracker_->end_collect(rescan);
+    std::vector<Range> stw_roots = roots_.stacks_stw();
+    if (!tracker_->tracks_arbitrary_memory()) {
+        for (const Range& r : roots_.roots_stw())
+            stw_roots.push_back(r);
+    }
+    sweep::append_resident_subranges(stw_roots, &rescan);
+    for (const Range& r : roots_.parked_registers())
+        rescan.push_back(r);
+    mark(rescan);
+    roots_.resume_world();
+    record_phase(Stat::kStwNs, TraceEvent::kStwPause, monotonic_ns() - t0);
+}
+
+void
+QuarantineRuntime::drain_phase()
+{
+    // Every entry a deferred unmap affects is still quarantined here, and
+    // its pages have been scanned.
+    const std::uint64_t t0 = monotonic_ns();
+    reclaimer_.drain_pending();
+    record_phase(Stat::kPhaseDrainNs, TraceEvent::kPhaseDrain,
+                 monotonic_ns() - t0);
+}
+
+void
+QuarantineRuntime::close_sweep(std::vector<Entry> failed, bool purge,
+                               std::uint64_t released,
+                               std::uint64_t helper_cpu_ns)
+{
+    mark_bits_.clear_marks();
+    quarantine_.store_failed(std::move(failed));
+    reclaimer_.end_scan();
+    if (purge)
+        jade_.purge_all();
+    stats_.add(Stat::kSweepCpuNs,
+               sweep::thread_cpu_ns() - sweep_cpu0_ns_ + helper_cpu_ns);
+    metrics::telemetry().trace_event(
+        TraceEvent::kSweepEnd, monotonic_ns() - sweep_t0_ns_, released);
+}
+
+void
+QuarantineRuntime::record_phase(Stat stat, TraceEvent event,
+                                std::uint64_t ns, std::uint64_t arg)
+{
+    stats_.add(stat, ns);
+    metrics::telemetry().trace_event(event, ns, arg);
 }
 
 std::vector<Range>
@@ -261,6 +381,13 @@ QuarantineRuntime::counters() const
 {
     metrics::StatSnapshot s = RuntimeBase::counters();
     s.sweeps = controller_.sweeps_done();
+    // The byte gauges come from the accounting stats() reports. Nothing
+    // in this runtime moves their cells, so adding (not overwriting)
+    // keeps each row the sum of everything that counted into it.
+    s.values[static_cast<unsigned>(Stat::kLiveBytes)] +=
+        live_bytes(jade_, quarantine_);
+    s.values[static_cast<unsigned>(Stat::kCommittedBytes)] +=
+        access_map_.committed_bytes();
     return s;
 }
 
@@ -269,14 +396,12 @@ QuarantineRuntime::stats() const
 {
     const quarantine::QuarantineStats qs = quarantine_.stats();
     alloc::AllocatorStats s;
-    const std::size_t jade_live = jade_.live_bytes();
-    const std::size_t quarantined =
-        qs.pending_bytes + qs.failed_bytes + qs.unmapped_bytes;
-    s.live_bytes = jade_live > quarantined ? jade_live - quarantined : 0;
+    s.live_bytes = live_bytes(jade_, quarantine_);
     s.committed_bytes = access_map_.committed_bytes();
     s.metadata_bytes =
         jade_.stats().metadata_bytes + mark_bits_.shadow_bytes() * 2;
-    s.quarantine_bytes = quarantined;
+    s.quarantine_bytes =
+        qs.pending_bytes + qs.failed_bytes + qs.unmapped_bytes;
     s.sweeps = controller_.sweeps_done();
     s.alloc_calls = stats_.read(Stat::kAllocCalls);
     s.free_calls = stats_.read(Stat::kFreeCalls);

@@ -17,9 +17,10 @@
  *
  * QuarantineRuntime owns the *mechanism* layers extracted from the old
  * god-object — SweepController (when sweeps run), Reclaimer (how memory
- * comes back) and StatCells (how the fast path counts) — while the
- * derived classes keep only their *policy*: what a sweep/mark pass
- * actually does and when to trigger one.
+ * comes back) and StatCells (how the fast path counts) — and the frame
+ * every sweep pass shares (open, dirty-scan, stop-the-world recheck,
+ * drain, close). The derived classes keep only their *policy*: the mark
+ * strategy, the release filter, the purge rule and when to trigger one.
  */
 #pragma once
 
@@ -32,6 +33,7 @@
 #include "core/reclaimer.h"
 #include "core/stat_cells.h"
 #include "core/sweep_controller.h"
+#include "metrics/trace_ring.h"
 #include "quarantine/quarantine.h"
 #include "sweep/dirty_tracker.h"
 #include "sweep/page_access_map.h"
@@ -121,6 +123,10 @@ class QuarantineRuntime : public RuntimeBase
     /** Complete any in-flight sweep and flush quarantine buffers. */
     void flush() override;
 
+    /** Flush this thread's quarantine buffer, then wait for a sweep
+        that starts after the call. */
+    void force_sweep();
+
     /** True while an allocation with this base is quarantined. */
     bool
     in_quarantine(const void* ptr) const
@@ -173,6 +179,35 @@ class QuarantineRuntime : public RuntimeBase
      */
     bool absorb_double_free(void* ptr, std::uintptr_t base);
 
+    // ------------------------------------------------------- Sweep frame
+    // The steps every sweep pass shares, in the order a pass runs them;
+    // only the sweep function calls them (serialized by the sweep token).
+
+    /** Begin the scan epoch and lock the quarantine in (locked_in_);
+        false, with the epoch closed again, when nothing is quarantined. */
+    bool open_sweep();
+
+    /** Dirty-scan phase: arm the write tracker, if any. */
+    void arm_tracker();
+
+    /** Stop-the-world recheck (§4.3): hand @p mark what may have gained a
+        pointer since arm_tracker() — dirtied pages, stacks, roots the
+        tracker misses (resident pages only), parked registers. */
+    void stw_recheck(
+        const std::function<void(const std::vector<sweep::Range>&)>& mark);
+
+    /** Drain phase: the deferred unmaps, once marking is done. */
+    void drain_phase();
+
+    /** Clear the marks, keep @p failed quarantined, end the epoch, purge
+        if @p purge, then count the pass's CPU (+ @p helper_cpu_ns). */
+    void close_sweep(std::vector<quarantine::Entry> failed, bool purge,
+                     std::uint64_t released, std::uint64_t helper_cpu_ns);
+
+    /** Count @p ns in @p stat and trace @p event with it. */
+    void record_phase(Stat stat, metrics::TraceEvent event, std::uint64_t ns,
+                      std::uint64_t arg = 0);
+
     Config config_;
     alloc::JadeAllocator jade_;
     sweep::ShadowMap mark_bits_;         ///< Per-sweep mark bits.
@@ -189,6 +224,9 @@ class QuarantineRuntime : public RuntimeBase
      * controller's sweep token serializes.
      */
     std::vector<quarantine::Entry> locked_in_;
+    /** Clocks open_sweep() starts for close_sweep(). */
+    std::uint64_t sweep_t0_ns_ = 0;
+    std::uint64_t sweep_cpu0_ns_ = 0;
 
   private:
     class Hooks;

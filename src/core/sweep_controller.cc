@@ -16,6 +16,12 @@ namespace {
 
 thread_local bool tls_sweep_context = false;
 
+/** Period of the force/flush waits when the watchdog is off. */
+constexpr std::uint64_t kWaitPollMs = 500;
+
+/** Longest allocation pause when the watchdog is off. */
+constexpr std::uint64_t kPauseCapMs = 2000;
+
 void
 sleep_ms(long ms)
 {
@@ -115,7 +121,7 @@ SweepController::prepare_fork() MSW_NO_THREAD_SAFETY_ANALYSIS
 {
     // Quiesce by *claiming* the sweep token, then fork with sweep_mu_
     // held: the child must never inherit a sweep half-done over the
-    // subsystem locks. The gate comes first — run_sweep_now() takes the
+    // subsystem locks. The gate comes first — execute_sweep() takes the
     // token before sweep_mu_, so under steady force-sweep pressure a
     // new sweep wins the token inside any observation gap and an
     // ungated claim loop starves indefinitely (each 1 ms retry lands
@@ -216,6 +222,48 @@ SweepController::ensure_sweeper()
     sweeper_needs_respawn_.store(false, std::memory_order_release);
 }
 
+class SweepController::WaiterGuard
+{
+  public:
+    explicit WaiterGuard(std::atomic<int>* count) : count_(count)
+    {
+        // msw-relaxed(sweeper-token): RMW atomicity suffices; the shutdown
+        // drain polls the release/acquire-paired count.
+        count_->fetch_add(1, std::memory_order_relaxed);
+    }
+    ~WaiterGuard() { count_->fetch_sub(1, std::memory_order_release); }
+
+  private:
+    std::atomic<int>* count_;
+};
+
+bool
+SweepController::ticket_done(std::uint64_t ticket) const
+{
+    // msw-relaxed(sweeper-token): read under sweep_mu_, which
+    // execute_sweep() holds when it advances the done ticket.
+    return sweeps_done_.load(std::memory_order_relaxed) >= ticket;
+}
+
+template <typename Done>
+void
+SweepController::await(std::uint64_t period_ms, OnMiss on_miss, Done done)
+{
+    const auto period = std::chrono::milliseconds(period_ms);
+    UniqueLock g(sweep_mu_);
+    while (!sweep_done_cv_.wait_for(g, period, done)) {
+        if (on_miss == OnMiss::kReturn)
+            return;
+        if (on_miss == OnMiss::kServe) {
+            // The sweeper missed the period: it may be stalled or dead.
+            // Serve the request on this thread instead of hanging.
+            g.unlock();
+            execute_sweep(Runner::kFallback);
+            g.lock();
+        }
+    }
+}
+
 void
 SweepController::request_sweep(bool pause_allocations)
 {
@@ -228,7 +276,7 @@ SweepController::request_sweep(bool pause_allocations)
         MutexGuard g(sweep_mu_);
         sweep_requested_ = true;
         // Watchdog heartbeat: stamp the oldest unserved request (the
-        // sweeper clears this when it picks the request up).
+        // sweep that claims it clears this).
         // msw-relaxed(sweeper-token): stamped under sweep_mu_; the
         // unlocked watchdog read tolerates staleness by one period.
         if (sweep_request_ns_.load(std::memory_order_relaxed) == 0)
@@ -244,7 +292,7 @@ SweepController::request_sweep(bool pause_allocations)
 }
 
 bool
-SweepController::run_sweep_now()
+SweepController::execute_sweep(Runner runner)
 {
     // A forking thread is waiting for the token; don't feed it new
     // sweeps. Callers treat `false` as "someone else owns progress" and
@@ -258,16 +306,21 @@ SweepController::run_sweep_now()
     }
     {
         MutexGuard g(sweep_mu_);
-        if (shutdown_) {
-            // Do not start new sweeps during teardown; shutdown() is
-            // waiting to claim this token.
+        // No new sweep during teardown (shutdown() is waiting to claim
+        // this token), nor on behalf of a request already claimed.
+        if (shutdown_ || (runner != Runner::kCaller && !sweep_requested_)) {
             sweep_in_progress_.store(false, std::memory_order_release);
             return false;
         }
         sweep_requested_ = false;
         ++sweeps_started_;
-        // msw-relaxed(sweeper-token): heartbeat clear under sweep_mu_.
+        // msw-relaxed(sweeper-token): heartbeat clear under sweep_mu_;
+        // the unlocked watchdog read tolerates one period of staleness.
         sweep_request_ns_.store(0, std::memory_order_relaxed);
+        // The background sweeper is serving again: clear the stall latch.
+        // msw-relaxed(sweeper-token): advisory latch, as above.
+        if (runner == Runner::kSweeper)
+            watchdog_tripped_.store(false, std::memory_order_relaxed);
     }
     sweep_fn_();
     {
@@ -279,7 +332,18 @@ SweepController::run_sweep_now()
         sweep_in_progress_.store(false, std::memory_order_release);
     }
     sweep_done_cv_.notify_all();
+    if (runner == Runner::kFallback) {
+        stats_->add(Stat::kWatchdogFallbacks);
+        metrics::telemetry().trace_event(
+            metrics::TraceEvent::kWatchdogFallback);
+    }
     return true;
+}
+
+bool
+SweepController::run_sweep_now()
+{
+    return execute_sweep(Runner::kCaller);
 }
 
 void
@@ -311,11 +375,7 @@ SweepController::check_watchdog()
                      static_cast<unsigned long long>(
                          config_.watchdog_timeout_ms));
     }
-    if (run_sweep_now()) {
-        stats_->add(Stat::kWatchdogFallbacks);
-        metrics::telemetry().trace_event(
-            metrics::TraceEvent::kWatchdogFallback);
-    }
+    execute_sweep(Runner::kFallback);
 }
 
 void
@@ -330,25 +390,18 @@ SweepController::maybe_pause()
     }
     const std::uint64_t t0 = monotonic_ns();
     {
+        const WaiterGuard waiter(&control_waiters_);
         // A dead sweeper (e.g. a fork child whose respawn failed) never
         // clears the flag or notifies, so the wait must not outlive the
         // watchdog deadline — check_watchdog() below self-serves then.
-        const std::uint64_t cap_ms = config_.watchdog_timeout_ms != 0
-                                         ? config_.watchdog_timeout_ms
-                                         : 2000;
-        UniqueLock g(sweep_mu_);
-        // msw-relaxed(sweeper-token): RMW atomicity suffices; the
-        // shutdown drain polls the release/acquire-paired count.
-        control_waiters_.fetch_add(1, std::memory_order_relaxed);
-        sweep_done_cv_.wait_for(g, std::chrono::milliseconds(cap_ms),
-                                [&]() MSW_REQUIRES(sweep_mu_) {
-                                    // msw-relaxed(sweeper-token): read
-                                    // under sweep_mu_ by the cv wait.
-                                    return shutdown_ ||
-                                           !pause_flag_.load(
-                                               std::memory_order_relaxed);
-                                });
-        control_waiters_.fetch_sub(1, std::memory_order_release);
+        await(config_.watchdog_timeout_ms != 0 ? config_.watchdog_timeout_ms
+                                               : kPauseCapMs,
+              OnMiss::kReturn, [&]() MSW_REQUIRES(sweep_mu_) {
+                  // msw-relaxed(sweeper-token): read under sweep_mu_ by
+                  // the cv wait.
+                  return shutdown_ ||
+                         !pause_flag_.load(std::memory_order_relaxed);
+              });
     }
     const std::uint64_t paused_ns = monotonic_ns() - t0;
     stats_->add(Stat::kPauseNs, paused_ns);
@@ -368,19 +421,15 @@ SweepController::maybe_pause()
 void
 SweepController::wait_for_sweep_completion(std::uint64_t timeout_ms)
 {
-    UniqueLock g(sweep_mu_);
-    // msw-relaxed(sweeper-token): RMW atomicity suffices; the shutdown
-    // drain polls the release/acquire-paired count.
-    control_waiters_.fetch_add(1, std::memory_order_relaxed);
-    sweep_done_cv_.wait_for(
-        g, std::chrono::milliseconds(timeout_ms),
-        [&]() MSW_REQUIRES(sweep_mu_) {
-            // msw-relaxed(sweeper-token): progress poll on a timed
-            // wait; the token's real edges are its CAS/release pair.
-            return shutdown_ ||
-                   !sweep_in_progress_.load(std::memory_order_relaxed);
-        });
-    control_waiters_.fetch_sub(1, std::memory_order_release);
+    const WaiterGuard waiter(&control_waiters_);
+    std::uint64_t ticket;
+    {
+        MutexGuard g(sweep_mu_);
+        ticket = sweeps_started_;
+    }
+    await(timeout_ms != 0 ? timeout_ms : kWaitPollMs,
+          timeout_ms != 0 ? OnMiss::kReturn : OnMiss::kWait,
+          [&]() MSW_REQUIRES(sweep_mu_) { return ticket_done(ticket); });
 }
 
 void
@@ -390,58 +439,20 @@ SweepController::force_sweep()
         run_sweep_now();
         return;
     }
-    ensure_sweeper();
-    // msw-relaxed(sweeper-token): RMW atomicity suffices; the shutdown
-    // drain polls the release/acquire-paired count.
-    control_waiters_.fetch_add(1, std::memory_order_relaxed);
+    const WaiterGuard waiter(&control_waiters_);
+    std::uint64_t ticket;
     {
-        UniqueLock g(sweep_mu_);
-        if (shutdown_) {
-            control_waiters_.fetch_sub(1, std::memory_order_release);
-            return;
-        }
+        MutexGuard g(sweep_mu_);
         // Sweeps finish in the order they start, so once sweeps_done_
         // reaches this, a sweep that began after this call has finished.
-        const std::uint64_t target = sweeps_started_ + 1;
-        sweep_requested_ = true;
-        // msw-relaxed(sweeper-token): heartbeat stamp under sweep_mu_;
-        // the unlocked watchdog read tolerates one period of staleness.
-        if (sweep_request_ns_.load(std::memory_order_relaxed) == 0)
-            sweep_request_ns_.store(monotonic_ns(),
-                                    std::memory_order_relaxed);
-        sweep_cv_.notify_all();
-        const auto timeout = std::chrono::milliseconds(
-            config_.watchdog_timeout_ms != 0 ? config_.watchdog_timeout_ms
-                                             : config_.wait_poll_ms);
-        for (;;) {
-            const bool done = sweep_done_cv_.wait_for(
-                g, timeout, [&]() MSW_REQUIRES(sweep_mu_) {
-                    // msw-relaxed(sweeper-token): cv predicate under
-                    // sweep_mu_, which the incrementing side holds.
-                    return shutdown_ ||
-                           sweeps_done_.load(std::memory_order_relaxed) >=
-                               target;
-                });
-            if (done)
-                break;
-            // Timed out: the sweeper may be stalled or dead. Sweep on
-            // this thread instead of hanging the caller.
-            g.unlock();
-            if (run_sweep_now()) {
-                stats_->add(Stat::kWatchdogFallbacks);
-                metrics::telemetry().trace_event(
-                    metrics::TraceEvent::kWatchdogFallback);
-            }
-            g.lock();
-            // msw-relaxed(sweeper-token): re-read under sweep_mu_,
-            // which the incrementing side holds.
-            if (shutdown_ ||
-                sweeps_done_.load(std::memory_order_relaxed) >= target) {
-                break;
-            }
-        }
+        ticket = sweeps_started_ + 1;
     }
-    control_waiters_.fetch_sub(1, std::memory_order_release);
+    request_sweep(/*pause_allocations=*/false);
+    await(config_.watchdog_timeout_ms != 0 ? config_.watchdog_timeout_ms
+                                           : kWaitPollMs,
+          OnMiss::kServe, [&]() MSW_REQUIRES(sweep_mu_) {
+              return shutdown_ || ticket_done(ticket);
+          });
 }
 
 void
@@ -449,32 +460,13 @@ SweepController::wait_idle()
 {
     if (!config_.background)
         return;
-    // msw-relaxed(sweeper-token): RMW atomicity suffices; the shutdown
-    // drain polls the release/acquire-paired count.
-    control_waiters_.fetch_add(1, std::memory_order_relaxed);
-    {
-        UniqueLock g(sweep_mu_);
-        for (;;) {
-            const bool done = sweep_done_cv_.wait_for(
-                g, std::chrono::milliseconds(config_.wait_poll_ms),
-                [&]() MSW_REQUIRES(sweep_mu_) {
-                    return shutdown_ ||
-                           (!sweep_requested_ &&
-                            // msw-relaxed(sweeper-token): cv predicate;
-                            // the token's edges are its CAS/release pair.
-                            !sweep_in_progress_.load(
-                                std::memory_order_relaxed));
-                });
-            if (done)
-                break;
-            // A stalled sweeper would leave the request pending forever;
-            // serve it here so flush() keeps its completion guarantee.
-            g.unlock();
-            run_sweep_now();
-            g.lock();
-        }
-    }
-    control_waiters_.fetch_sub(1, std::memory_order_release);
+    const WaiterGuard waiter(&control_waiters_);
+    // A stalled sweeper would leave the request pending forever; the
+    // serving wait sweeps here so flush() keeps its completion guarantee.
+    await(kWaitPollMs, OnMiss::kServe, [&]() MSW_REQUIRES(sweep_mu_) {
+        return shutdown_ ||
+               (!sweep_requested_ && ticket_done(sweeps_started_));
+    });
 }
 
 void
@@ -497,33 +489,15 @@ SweepController::sweeper_loop()
                                });
             continue;
         }
-        bool expected = false;
-        if (fork_pending_.load(std::memory_order_acquire) ||
-            !sweep_in_progress_.compare_exchange_strong(
-                expected, true, std::memory_order_acquire)) {
-            // A watchdog fallback owns the sweep, or a fork is
-            // quiescing; either clears the request / gate and notifies
-            // (or we re-check) when done.
-            sweep_done_cv_.wait_for(l, std::chrono::milliseconds(1));
-            continue;
-        }
-        sweep_requested_ = false;
-        ++sweeps_started_;
-        // Heartbeat: the request is being served, so the sweeper is
-        // alive again — clear the stall latch.
-        // msw-relaxed(sweeper-token): written under sweep_mu_; the
-        // unlocked watchdog read tolerates one period of staleness.
-        sweep_request_ns_.store(0, std::memory_order_relaxed);
-        watchdog_tripped_.store(false, std::memory_order_relaxed);
         l.unlock();
-        sweep_fn_();
+        const bool ran = execute_sweep(Runner::kSweeper);
         l.lock();
-        sweep_in_progress_.store(false, std::memory_order_release);
-        // msw-relaxed(sweeper-token): written under sweep_mu_; waiters
-        // re-read them under the same mutex in their cv predicates.
-        pause_flag_.store(false, std::memory_order_relaxed);
-        sweeps_done_.fetch_add(1, std::memory_order_relaxed);
-        sweep_done_cv_.notify_all();
+        if (!ran) {
+            // A fallback sweep owns the token, or a fork is quiescing;
+            // either clears the request or notifies when done (or we
+            // re-check after the period).
+            sweep_done_cv_.wait_for(l, std::chrono::milliseconds(1));
+        }
     }
 }
 

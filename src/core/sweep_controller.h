@@ -8,12 +8,13 @@
  *
  * The controller owns *when* a sweep runs, never *what* it does: the
  * owning runtime passes a sweep function that performs one full pass
- * (mark + release + purge). The function is always invoked with the
- * single-sweep token held and no controller lock held, from either the
- * background sweeper thread, a mutator that won a watchdog/force/
- * emergency fallback, or the caller itself in synchronous mode.
+ * (mark + release + purge). execute_sweep() alone runs it, with the
+ * single-sweep token held and no controller lock held, for the sweeper
+ * thread, a mutator's watchdog/force/emergency fallback and synchronous
+ * callers alike. Sweeps finish in the order they start, so every wait is
+ * "until sweeps_done_ reaches ticket T" (or until its request is served).
  *
- * Invariants preserved from the original implementation:
+ * Invariants:
  *  - at most one sweep executes at a time (CAS on sweep_in_progress_);
  *  - a sweep request made before shutdown is either served or safely
  *    abandoned; the destructor-path drain guarantees no thread is left
@@ -51,9 +52,6 @@ class SweepController
          * watchdog).
          */
         std::uint64_t watchdog_timeout_ms = 0;
-
-        /** Poll interval for force/flush waits when the watchdog is off. */
-        std::uint64_t wait_poll_ms = 500;
     };
 
     /**
@@ -138,14 +136,12 @@ class SweepController
     void parent_after_fork();
     void child_after_fork();
 
-    /** Wait (bounded) for the current in-flight sweep to complete. */
+    /**
+     * Wait until every sweep started before the call has finished, for
+     * at most @p timeout_ms (0: unbounded). Not cut short by shutdown: a
+     * started sweep always finishes, even with the token claimed for good.
+     */
     void wait_for_sweep_completion(std::uint64_t timeout_ms);
-
-    bool
-    sweep_in_progress() const
-    {
-        return sweep_in_progress_.load(std::memory_order_acquire);
-    }
 
     std::uint64_t
     sweeps_done() const
@@ -153,12 +149,6 @@ class SweepController
         // msw-relaxed(sweeper-token): monotonic stats read; callers
         // needing an ordered count wait under sweep_mu_ instead.
         return sweeps_done_.load(std::memory_order_relaxed);
-    }
-
-    bool
-    background() const
-    {
-        return config_.background;
     }
 
     /**
@@ -190,6 +180,32 @@ class SweepController
     };
 
   private:
+    /** Who runs a sweep: a direct caller sweeps unasked; the sweeper
+        and a mutator's fallback (counted) only serve a pending request. */
+    enum class Runner { kCaller, kSweeper, kFallback };
+
+    /** What a wait does each time its period lapses: give up, wait on,
+        or serve the request with a fallback sweep and wait on. */
+    enum class OnMiss { kReturn, kWait, kServe };
+
+    /** Counts a thread in a control-path wait for the shutdown drain. */
+    class WaiterGuard;
+
+    /**
+     * The only code that runs a sweep: fork/shutdown gate and token CAS;
+     * under sweep_mu_ clear the request and heartbeat and take a start
+     * ticket; run sweep_fn_; take the done ticket, open the pause gate,
+     * release the token; notify. False if no sweep could start.
+     */
+    bool execute_sweep(Runner runner);
+
+    /** The one control-path wait: until @p done holds under sweep_mu_,
+        acting per @p on_miss each @p period_ms. */
+    template <typename Done>
+    void await(std::uint64_t period_ms, OnMiss on_miss, Done done);
+
+    bool ticket_done(std::uint64_t ticket) const MSW_REQUIRES(sweep_mu_);
+
     void sweeper_loop();
 
     /** Serve a pending post-fork lazy respawn of the sweeper thread. */
@@ -206,8 +222,7 @@ class SweepController
     std::condition_variable_any sweep_cv_;
     std::condition_variable_any sweep_done_cv_;
     bool sweep_requested_ MSW_GUARDED_BY(sweep_mu_) = false;
-    /** Sweeps that have begun: counted where a sweep claims the request
-     *  (clears sweep_requested_), so force_sweep() can wait for one that
+    /** Start ticket: sweeps begun, so force_sweep() can wait for one that
      *  started after its call rather than for an in-flight one whose mark
      *  phase may predate the caller's changes. */
     std::uint64_t sweeps_started_ MSW_GUARDED_BY(sweep_mu_) = 0;
@@ -215,15 +230,16 @@ class SweepController
     /** prepare_fork() claimed sweep_in_progress_; the after-fork hooks
      *  must release it. Written only with sweep_mu_ held. */
     bool fork_token_held_ MSW_GUARDED_BY(sweep_mu_) = false;
-    /** A fork is quiescing: run_sweep_now()/the sweeper must not start
-     *  new sweeps, or back-to-back sweeps under force-sweep pressure
-     *  starve prepare_fork()'s token claim indefinitely. */
+    /** A fork is quiescing: execute_sweep() must not start new sweeps,
+     *  or back-to-back sweeps under force-sweep pressure starve
+     *  prepare_fork()'s token claim indefinitely. */
     std::atomic<bool> fork_pending_{false};
     std::atomic<bool> stopped_{false};
     std::atomic<bool> sweep_in_progress_{false};
     /** Set by child_after_fork(); consumed by ensure_sweeper(). */
     std::atomic<bool> sweeper_needs_respawn_{false};
     std::atomic<bool> pause_flag_{false};
+    /** Done ticket: advanced under sweep_mu_, read lock-free for stats. */
     std::atomic<std::uint64_t> sweeps_done_{0};
 
     // Watchdog: timestamp of the oldest unserved sweep request (0 = none)
@@ -232,9 +248,9 @@ class SweepController
     std::atomic<std::uint64_t> sweep_request_ns_{0};
     std::atomic<bool> watchdog_tripped_{false};
 
-    // Threads blocked in force_sweep()/wait_idle()/pause waits. shutdown()
-    // drains these before returning, so control-path calls that raced
-    // shutdown return safely instead of touching freed owner state.
+    // Threads in control-path waits (WaiterGuard). shutdown() drains
+    // these before returning, so calls that raced shutdown return safely
+    // instead of touching freed owner state.
     std::atomic<int> control_waiters_{0};
 };
 

@@ -60,7 +60,7 @@ append_resident_subranges(const std::vector<Range>& ranges,
         if (r.empty())
             continue;
         Range run{};
-        const auto flush = [&] {
+        const auto emit_run = [&] {
             const std::uintptr_t lo = std::max(run.base, r.base);
             const std::uintptr_t hi = std::min(run.end(), r.end());
             if (lo < hi)
@@ -73,7 +73,7 @@ append_resident_subranges(const std::vector<Range>& ranges,
                     run.base = page;
                 run.len += vm::kPageSize;
             } else if (run.len != 0) {
-                flush();
+                emit_run();
             }
         };
         const std::uintptr_t hi = align_up(r.end(), vm::kPageSize);
@@ -109,7 +109,7 @@ append_resident_subranges(const std::vector<Range>& ranges,
             }
         }
         if (run.len != 0)
-            flush();
+            emit_run();
     }
 }
 

@@ -14,6 +14,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -378,6 +379,33 @@ TEST(Lifecycle, ManualUnregisterStaysIdempotentWithAutoDrain)
     });
     t.join();
     EXPECT_EQ(ms.mutator_thread_count(), baseline_threads);
+}
+
+TEST(Lifecycle, UnregisterAfterQuiesceReturns)
+{
+    // quiesce() keeps the sweep token claimed for good, and no sweep is
+    // left to wait out: a registered thread that unregisters afterwards
+    // (as its TSD destructor would at exit) must return. On failure the
+    // runtime is leaked with the stuck thread, never destroyed under it.
+    auto* ms = new MineSweeper(small_options());
+    auto returned = std::make_shared<std::atomic<bool>>(false);
+    std::thread t([ms, returned] {
+        ms->register_mutator_thread();
+        ms->free(ms->alloc(64));
+        ms->quiesce();
+        ms->unregister_mutator_thread();
+        returned->store(true);
+    });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!returned->load() && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (!returned->load()) {
+        t.detach();
+        FAIL() << "unregister_mutator_thread() hung after quiesce()";
+    }
+    t.join();
+    delete ms;
 }
 
 // ------------------------------------------------------ crash reporting

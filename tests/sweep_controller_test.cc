@@ -101,12 +101,12 @@ TEST(SweepControllerTest, SingleSweeperInvariant)
         std::this_thread::yield();
     for (int i = 0; i < 8; ++i)
         EXPECT_FALSE(ctl.run_sweep_now());
-    EXPECT_TRUE(ctl.sweep_in_progress());
     release.store(true, std::memory_order_release);
     holder.join();
     EXPECT_EQ(peak.load(), 1);
     EXPECT_EQ(ctl.sweeps_done(), 1u);
-    EXPECT_FALSE(ctl.sweep_in_progress());
+    // The finished sweep released the token.
+    EXPECT_TRUE(ctl.run_sweep_now());
 }
 
 TEST(SweepControllerTest, WatchdogFallsBackToSynchronousSweep)
@@ -150,6 +150,55 @@ TEST(SweepControllerTest, PauseGateReleasedBySweepCompletion)
     EXPECT_GT(stats.read(Stat::kPauseNs), 0u);
     // Gate open: a second call returns without waiting.
     ctl.maybe_pause();
+}
+
+TEST(SweepControllerTest, ForceSweepWaitsForASweepStartedAfterTheCall)
+{
+    // A sweep already in flight when force_sweep() is called may have
+    // marked before the caller's changes, so it must not satisfy the
+    // wait: only a sweep that starts after the call may.
+    StatCells stats;
+    std::atomic<bool> latch{false};
+    std::atomic<int> started{0};
+    std::atomic<int> finished{0};
+    SweepController ctl(
+        SweepController::Config{},
+        [&] {
+            if (started.fetch_add(1) == 0) {
+                while (!latch.load(std::memory_order_acquire))
+                    std::this_thread::yield();
+            }
+            finished.fetch_add(1);
+        },
+        &stats);
+    ctl.start();
+
+    // Sweep 1 runs on a caller thread and holds on the latch; nothing
+    // has requested a sweep, so the background sweeper stays asleep.
+    std::thread holder([&] { EXPECT_TRUE(ctl.run_sweep_now()); });
+    while (started.load() == 0)
+        std::this_thread::yield();
+
+    // The sweeper evaluates kSweeperStall only once a request wakes it,
+    // and force_sweep() takes its ticket before it posts its request: the
+    // one hit of the burst means the ticket is taken.
+    const std::uint64_t hits0 = util::failpoint_hits(Failpoint::kSweeperStall);
+    util::failpoint_arm(Failpoint::kSweeperStall, FailpointPolicy::burst(1));
+    int finished_at_return = -1;
+    std::thread forcer([&] {
+        ctl.force_sweep();
+        finished_at_return = finished.load();
+    });
+    while (util::failpoint_hits(Failpoint::kSweeperStall) == hits0)
+        std::this_thread::yield();
+
+    latch.store(true, std::memory_order_release);
+    holder.join();
+    forcer.join();
+    util::failpoint_disarm(Failpoint::kSweeperStall);
+    // Sweep 1 alone would leave finished at 1.
+    EXPECT_GE(finished_at_return, 2);
+    EXPECT_GE(ctl.sweeps_done(), 2u);
 }
 
 TEST(SweepControllerTest, SweepContextThreadsNeverPause)

@@ -2,7 +2,6 @@
 // system factory, SPEC profile tables, and stress-kernel smoke runs.
 #include <gtest/gtest.h>
 
-#include "baselines/markus.h"
 #include "core/minesweeper.h"
 #include "workload/executor.h"
 #include "workload/mimalloc_kernels.h"
@@ -215,11 +214,18 @@ TEST(CounterSurface, SystemSnapshotCarriesEveryStat)
         System sys = make_system(kind);
         SCOPED_TRACE(sys.name);
         void* p = sys.allocator->alloc(64);
+        // The byte gauges report the same accounting as stats().
+        const alloc::AllocatorStats st = sys.allocator->stats();
+        const metrics::StatSnapshot live = sys.counters();
+        EXPECT_EQ(live[metrics::Stat::kLiveBytes], st.live_bytes);
+        EXPECT_EQ(live[metrics::Stat::kCommittedBytes], st.committed_bytes);
+        EXPECT_GT(live[metrics::Stat::kLiveBytes], 0u);
+        EXPECT_GT(live[metrics::Stat::kCommittedBytes], 0u);
         sys.allocator->free(p);
-        if (auto* ms = dynamic_cast<core::MineSweeper*>(sys.allocator.get()))
-            ms->force_sweep();
-        if (auto* mu = dynamic_cast<baseline::MarkUs*>(sys.allocator.get()))
-            mu->force_mark();
+        if (auto* rt = dynamic_cast<core::QuarantineRuntime*>(
+                sys.allocator.get())) {
+            rt->force_sweep();
+        }
 
         // A distinct mark in the high half of every cell: natural counts
         // stay far below 2^32 here, so the high half names the slot.

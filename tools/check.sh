@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Build-and-test matrix for local verification:
 #   1. default build + full test suite (the tier-1 gate), then the
-#      hardened-policy label (-L hardened) on the same build;
+#      hardened-policy label (-L hardened) on the same build, then the
+#      repeat gate: every test outside the failpoint/chaos soaks 20
+#      times over (--repeat until-fail:20), so a flake fails the change
+#      that adds it;
 #   2. MSW_THREAD_SAFETY=ON with clang++ (thread-safety analysis is a
 #      Clang feature) — compile-only, -Werror=thread-safety;
 #   3. MSW_SANITIZE=address,undefined + full test suite, then the
@@ -45,6 +48,10 @@ fi
 if ! (cd "$repo/build-check" && ctest --output-on-failure -j "$(nproc)" \
           -L hardened); then
     failures+=("hardened")
+fi
+if ! (cd "$repo/build-check" && ctest --output-on-failure -j "$(nproc)" \
+          -LE 'failpoint|chaos' --repeat until-fail:20); then
+    failures+=("repeat")
 fi
 
 if [ "$quick" = "0" ]; then
