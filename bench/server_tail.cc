@@ -18,6 +18,7 @@
  * switches to duration mode (used by the CI smoke stage).
  */
 #include <cstdlib>
+#include <map>
 
 #include "bench/bench_common.h"
 #include "workload/server.h"

@@ -162,17 +162,22 @@ MarkUs::scan_for_objects(std::uintptr_t base, std::size_t len,
     }
 }
 
-void
+std::uint64_t
 MarkUs::mark_from(const std::vector<Range>& ranges,
                   std::vector<Range>* worklist)
 {
-    for (const Range& r : ranges)
+    std::uint64_t scanned = 0;
+    for (const Range& r : ranges) {
         scan_for_objects(r.base, r.len, worklist);
+        scanned += r.len;
+    }
     while (!worklist->empty()) {
         const Range r = worklist->back();
         worklist->pop_back();
         scan_for_objects(r.base, r.len, worklist);
+        scanned += r.len;
     }
+    return scanned;
 }
 
 void
@@ -190,16 +195,17 @@ MarkUs::run_mark()
         root_ranges.push_back(r);
     std::vector<Range> root_scan;
     sweep::append_resident_subranges(root_ranges, &root_scan);
-    mark_from(root_scan, &worklist);
+    std::uint64_t scanned = mark_from(root_scan, &worklist);
 
     // Phase 2: stop-the-world recheck, continuing the transitive closure
     // to a fixpoint (Boehm's mostly-parallel collection).
     stw_recheck([&](const std::vector<Range>& rescan) {
-        mark_from(rescan, &worklist);
+        scanned += mark_from(rescan, &worklist);
     });
+    stats_.add(Stat::kBytesScanned, scanned);
     // Mark phase: both transitive passes (the STW recheck included).
     record_phase(Stat::kPhaseMarkNs, metrics::TraceEvent::kPhaseMark,
-                 core::monotonic_ns() - mark_t0);
+                 core::monotonic_ns() - mark_t0, scanned);
 
     drain_phase();
 
@@ -216,16 +222,16 @@ MarkUs::run_mark()
     // Entries whose accessibility cannot be restored land in `failed`
     // too: kept quarantined and retried on the next pass rather than
     // handed out inaccessible.
-    const std::uint64_t released_n =
+    const core::Reclaimer::ReleaseTally released =
         reclaimer_.release_entries(releasable.data(), releasable.size(),
-                                   &failed)
-            .entries;
+                                   &failed);
     record_phase(Stat::kPhaseReleaseNs, metrics::TraceEvent::kPhaseRelease,
-                 core::monotonic_ns() - release_t0, released_n);
+                 core::monotonic_ns() - release_t0, released.entries);
+    const SweepTally tally{released.entries, released.bytes, failed.size()};
 
     // MarkUs aggressively reclaims allocator free structures after a
     // marking pass (the paper notes this need for large quarantines).
-    close_sweep(std::move(failed), /*purge=*/true, released_n,
+    close_sweep(std::move(failed), /*purge=*/true, tally,
                 /*helper_cpu_ns=*/0);
 }
 

@@ -76,9 +76,10 @@ class MarkUs final : public core::QuarantineRuntime
     MSW_NO_SANITIZE_ADDRESS MSW_NO_SANITIZE_THREAD
     void scan_for_objects(std::uintptr_t base, std::size_t len,
                           std::vector<sweep::Range>* worklist);
-    /** Scan @p ranges, then every object they reach, transitively. */
-    void mark_from(const std::vector<sweep::Range>& ranges,
-                   std::vector<sweep::Range>* worklist);
+    /** Scan @p ranges, then every object they reach, transitively;
+        returns the bytes scanned. */
+    std::uint64_t mark_from(const std::vector<sweep::Range>& ranges,
+                            std::vector<sweep::Range>* worklist);
 
     static Config make_config(const Options& opts);
 

@@ -485,16 +485,14 @@ MineSweeper::run_sweep()
     }
     record_phase(Stat::kPhaseReleaseNs, metrics::TraceEvent::kPhaseRelease,
                  release_ns, sum.released);
-    stats_.add(Stat::kEntriesReleased, sum.released);
-    stats_.add(Stat::kBytesReleased, sum.released_bytes);
-    stats_.add(Stat::kFailedFrees, sum.failed_count);
     stats_.add(Stat::kSweepFillChecks, sum.fill_checks);
     stats_.add(Stat::kCanaryViolations, sum.fill_violations);
 
     const std::uint64_t helpers1 =
         workers_ != nullptr ? workers_->helper_cpu_ns() : 0;
     // §4.5: full allocator purge synchronised with the end of the sweep.
-    close_sweep(std::move(failed), opts_.purging, sum.released,
+    close_sweep(std::move(failed), opts_.purging,
+                {sum.released, sum.released_bytes, sum.failed_count},
                 helpers1 - helpers0);
 }
 

@@ -328,7 +328,7 @@ QuarantineRuntime::drain_phase()
 
 void
 QuarantineRuntime::close_sweep(std::vector<Entry> failed, bool purge,
-                               std::uint64_t released,
+                               const SweepTally& tally,
                                std::uint64_t helper_cpu_ns)
 {
     mark_bits_.clear_marks();
@@ -336,10 +336,13 @@ QuarantineRuntime::close_sweep(std::vector<Entry> failed, bool purge,
     reclaimer_.end_scan();
     if (purge)
         jade_.purge_all();
+    stats_.add(Stat::kEntriesReleased, tally.entries);
+    stats_.add(Stat::kBytesReleased, tally.bytes);
+    stats_.add(Stat::kFailedFrees, tally.failed);
     stats_.add(Stat::kSweepCpuNs,
                sweep::thread_cpu_ns() - sweep_cpu0_ns_ + helper_cpu_ns);
     metrics::telemetry().trace_event(
-        TraceEvent::kSweepEnd, monotonic_ns() - sweep_t0_ns_, released);
+        TraceEvent::kSweepEnd, monotonic_ns() - sweep_t0_ns_, tally.entries);
 }
 
 void

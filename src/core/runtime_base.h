@@ -199,10 +199,19 @@ class QuarantineRuntime : public RuntimeBase
     /** Drain phase: the deferred unmaps, once marking is done. */
     void drain_phase();
 
+    /** What one pass released, and how many entries it found still
+        referenced (failed frees). */
+    struct SweepTally {
+        std::uint64_t entries = 0;
+        std::uint64_t bytes = 0;
+        std::uint64_t failed = 0;
+    };
+
     /** Clear the marks, keep @p failed quarantined, end the epoch, purge
-        if @p purge, then count the pass's CPU (+ @p helper_cpu_ns). */
+        if @p purge, then count @p tally and the pass's CPU
+        (+ @p helper_cpu_ns). */
     void close_sweep(std::vector<quarantine::Entry> failed, bool purge,
-                     std::uint64_t released, std::uint64_t helper_cpu_ns);
+                     const SweepTally& tally, std::uint64_t helper_cpu_ns);
 
     /** Count @p ns in @p stat and trace @p event with it. */
     void record_phase(Stat stat, metrics::TraceEvent event, std::uint64_t ns,

@@ -254,18 +254,18 @@ Table::print() const
             widths[c] = row[c].size() > widths[c] ? row[c].size()
                                                   : widths[c];
     }
+    // Every column spans width + 2 characters between its bars: "| x |"
+    // over "|---|", so each line of the table has the same length.
     const auto print_row = [&](const std::vector<std::string>& row) {
         for (std::size_t c = 0; c < widths.size(); ++c) {
             const std::string& cell = c < row.size() ? row[c] : "";
-            std::printf("%c %-*s", c == 0 ? '|' : '|',
-                        static_cast<int>(widths[c]), cell.c_str());
+            std::printf("| %-*s ", static_cast<int>(widths[c]), cell.c_str());
         }
         std::printf("|\n");
     };
     print_row(headers_);
-    for (std::size_t c = 0; c < widths.size(); ++c) {
+    for (std::size_t c = 0; c < widths.size(); ++c)
         std::printf("|%s", std::string(widths[c] + 2, '-').c_str());
-    }
     std::printf("|\n");
     for (const auto& row : rows_)
         print_row(row);

@@ -3,6 +3,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
@@ -21,8 +22,21 @@ std::atomic<std::uint32_t> g_failpoints_armed{0};
 
 namespace {
 
+/**
+ * One site's state. The policy is published through a seqlock so that
+ * evaluations, which take no lock, always read one whole policy: the
+ * writers (arm/disarm, serialized by g_policy_mu) make policy_seq odd,
+ * store the policy words with release, then make it even again with
+ * release. A reader loads the words with acquire between two reads of
+ * policy_seq and retries unless both read the same even value; having
+ * seen any newly stored word, it also sees the odd sequence behind it.
+ */
 struct FailpointState {
-    FailpointPolicy policy;
+    std::atomic<std::uint64_t> policy_seq{0};
+    std::atomic<std::uint8_t> policy_kind{0};
+    std::atomic<std::uint64_t> policy_prob_bits{0};  ///< bit_cast double
+    std::atomic<std::uint64_t> policy_n{0};
+    std::atomic<std::uint64_t> policy_skip{0};
     /** Evaluation ordinal under the *current* policy (reset on arm). */
     std::atomic<std::uint64_t> policy_evals{0};
     /** Lifetime totals, kept across re-arms. */
@@ -32,13 +46,7 @@ struct FailpointState {
 
 FailpointState g_state[kNumFailpoints];
 
-/**
- * Guards policy writes. Evaluations read the policy fields without it:
- * arming while other threads are mid-evaluation may make those threads
- * see a torn mix of old/new policy for one call, which only perturbs
- * *whether* that call fails — acceptable for fault injection, and soak
- * configs arm once at startup anyway.
- */
+/** Serializes policy writers; evaluations read through the seqlock. */
 Mutex g_policy_mu{LockRank::kMetrics};
 
 std::atomic<std::uint64_t> g_rng_seed{0x5eedfa11};
@@ -62,18 +70,64 @@ thread_uniform()
     return rng.next_double();
 }
 
+/** Publish @p policy as @p st's policy (see FailpointState). */
+void
+publish_policy_locked(FailpointState& st, const FailpointPolicy& policy)
+    MSW_REQUIRES(g_policy_mu)
+{
+    // msw-relaxed(failpoint-arm): g_policy_mu serializes the writers,
+    // so only this thread moves the sequence word.
+    const std::uint64_t seq = st.policy_seq.load(std::memory_order_relaxed);
+    // msw-relaxed(failpoint-arm): the odd marker; the release stores
+    // below order it before every policy word they publish.
+    st.policy_seq.store(seq + 1, std::memory_order_relaxed);
+    st.policy_kind.store(static_cast<std::uint8_t>(policy.kind),
+                         std::memory_order_release);
+    st.policy_prob_bits.store(std::bit_cast<std::uint64_t>(policy.probability),
+                              std::memory_order_release);
+    st.policy_n.store(policy.n, std::memory_order_release);
+    st.policy_skip.store(policy.skip, std::memory_order_release);
+    st.policy_seq.store(seq + 2, std::memory_order_release);
+}
+
+/** A consistent copy of @p st's policy, retried across writers. */
+FailpointPolicy
+read_policy(const FailpointState& st)
+{
+    for (;;) {
+        const std::uint64_t seq = st.policy_seq.load(std::memory_order_acquire);
+        if ((seq & 1) != 0)
+            continue;  // a writer is mid-publish
+        FailpointPolicy p;
+        p.kind = static_cast<FailpointPolicy::Kind>(
+            st.policy_kind.load(std::memory_order_acquire));
+        p.probability = std::bit_cast<double>(
+            st.policy_prob_bits.load(std::memory_order_acquire));
+        p.n = st.policy_n.load(std::memory_order_acquire);
+        p.skip = st.policy_skip.load(std::memory_order_acquire);
+        // msw-relaxed(failpoint-arm): seqlock recheck; the acquire loads
+        // above keep it after them, and a writer that overlapped them
+        // has moved the sequence word.
+        if (st.policy_seq.load(std::memory_order_relaxed) == seq)
+            return p;
+    }
+}
+
 void
 recount_armed_locked() MSW_REQUIRES(g_policy_mu)
 {
     std::uint32_t armed = 0;
     for (auto& st : g_state) {
-        if (st.policy.kind != FailpointPolicy::Kind::kOff) {
+        // msw-relaxed(failpoint-arm): read back under g_policy_mu,
+        // which every writer of the word holds.
+        if (st.policy_kind.load(std::memory_order_relaxed) !=
+            static_cast<std::uint8_t>(FailpointPolicy::Kind::kOff)) {
             ++armed;
         }
     }
-    // msw-relaxed(failpoint-arm): advisory fast-path gate; the policy
-    // data it guards is snapshotted racily by design (see eval_slow),
-    // so release ordering here would pair with nothing.
+    // msw-relaxed(failpoint-arm): advisory fast-path gate; eval_slow
+    // reads the policy itself through the seqlock, so a stale count only
+    // delays when a freshly armed site starts firing.
     g_failpoints_armed.store(armed, std::memory_order_relaxed);
 }
 
@@ -212,8 +266,7 @@ bool
 failpoint_eval_slow(Failpoint fp)
 {
     FailpointState& st = g_state[static_cast<unsigned>(fp)];
-    // Snapshot: arm/disarm may race this read (see g_policy_mu comment).
-    const FailpointPolicy policy = st.policy;
+    const FailpointPolicy policy = read_policy(st);
     if (policy.kind == FailpointPolicy::Kind::kOff) {
         return false;
     }
@@ -257,9 +310,9 @@ failpoint_arm(Failpoint fp, const FailpointPolicy& policy)
 {
     MutexGuard lock(detail::g_policy_mu);
     auto& st = detail::g_state[static_cast<unsigned>(fp)];
-    st.policy = policy;
-    // msw-relaxed(failpoint-arm): counter reset under g_policy_mu;
-    // racing evaluators snapshot the policy racily by design.
+    detail::publish_policy_locked(st, policy);
+    // msw-relaxed(failpoint-arm): ordinal reset; an evaluation racing
+    // the re-arm may count once more under either policy.
     st.policy_evals.store(0, std::memory_order_relaxed);
     detail::recount_armed_locked();
 }
@@ -268,7 +321,8 @@ void
 failpoint_disarm(Failpoint fp)
 {
     MutexGuard lock(detail::g_policy_mu);
-    detail::g_state[static_cast<unsigned>(fp)].policy = FailpointPolicy{};
+    detail::publish_policy_locked(detail::g_state[static_cast<unsigned>(fp)],
+                                  FailpointPolicy{});
     detail::recount_armed_locked();
 }
 
@@ -277,7 +331,7 @@ failpoint_disarm_all()
 {
     MutexGuard lock(detail::g_policy_mu);
     for (auto& st : detail::g_state) {
-        st.policy = FailpointPolicy{};
+        detail::publish_policy_locked(st, FailpointPolicy{});
     }
     detail::recount_armed_locked();
 }

@@ -2,8 +2,10 @@
 // bookkeeping, and the disarmed fast path.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <thread>
 
 #include "util/failpoint.h"
 
@@ -163,6 +165,31 @@ TEST_F(FailpointTest, DisarmAllCoversEverySite)
     failpoint_disarm_all();
     for (unsigned i = 0; i < kNumFailpoints; ++i)
         EXPECT_FALSE(failpoint_should_fail(static_cast<Failpoint>(i)));
+}
+
+// An evaluation racing arm/disarm reads one whole policy: every(1) or
+// off, never every-Nth with the disarmed period 0 (a division by zero).
+// Under TSan the unsynchronized policy copy this replaced is a report.
+TEST_F(FailpointTest, DisarmWhileEvaluatingReadsWholePolicies)
+{
+    std::atomic<bool> started{false};
+    std::atomic<bool> done{false};
+    std::thread evaluator([&] {
+        started.store(true, std::memory_order_release);
+        while (!done.load(std::memory_order_acquire))
+            (void)failpoint_should_fail(Failpoint::kVmPurge);
+    });
+    while (!started.load(std::memory_order_acquire))
+        std::this_thread::yield();
+    for (int i = 0; i < 100000; ++i) {
+        failpoint_arm(Failpoint::kVmPurge, FailpointPolicy::every(1));
+        failpoint_disarm(Failpoint::kVmPurge);
+    }
+    done.store(true, std::memory_order_release);
+    evaluator.join();
+    // every(1) fires on each evaluation that saw it.
+    EXPECT_EQ(failpoint_evaluations(Failpoint::kVmPurge),
+              failpoint_hits(Failpoint::kVmPurge));
 }
 
 }  // namespace

@@ -133,12 +133,18 @@ TEST(Format, Ratios)
     EXPECT_EQ(fmt_seconds(1.23456), "1.235");
 }
 
-TEST(TableTest, PrintsWithoutCrashing)
+TEST(TableTest, PrintsAlignedColumns)
 {
     Table t({"bench", "time", "memory"});
     t.add_row({"xalancbmk", "1.73x", "1.12x"});
-    t.add_row({"geomean", "1.05x", "1.11x"});
+    t.add_row({"geomean", "1.05x"});  // a short row pads its missing cells
+    testing::internal::CaptureStdout();
     t.print();
+    EXPECT_EQ(testing::internal::GetCapturedStdout(),
+              "| bench     | time  | memory |\n"
+              "|-----------|-------|--------|\n"
+              "| xalancbmk | 1.73x | 1.12x  |\n"
+              "| geomean   | 1.05x |        |\n");
 }
 
 }  // namespace

@@ -255,5 +255,37 @@ TEST(CounterSurface, SystemSnapshotCarriesEveryStat)
         EXPECT_EQ(zero.values[i], 0u) << metrics::kStatNames[i];
 }
 
+// The sweep frame counts what every pass releases, scans and keeps, for
+// both quarantine runtimes: a freed block reached only by a dead pointer
+// is released, one still stored in a registered root is a failed free.
+void* g_rooted_slot = nullptr;
+
+TEST(CounterSurface, SweepsCountReleasesScansAndFailedFrees)
+{
+    for (const SystemKind kind :
+         {SystemKind::kMineSweeper, SystemKind::kMarkUs}) {
+        System sys = make_system(kind);
+        SCOPED_TRACE(sys.name);
+        auto& rt = dynamic_cast<core::QuarantineRuntime&>(*sys.allocator);
+        g_rooted_slot = nullptr;  // written, so its page is resident
+        rt.add_root(&g_rooted_slot, sizeof(g_rooted_slot));
+        // Many blocks, so a stale copy of one pointer on the stack cannot
+        // pin them all.
+        for (int i = 0; i < 64; ++i)
+            sys.allocator->free(sys.allocator->alloc(64));
+        rt.force_sweep();
+        const metrics::StatSnapshot released = sys.counters();
+        EXPECT_GT(released[metrics::Stat::kEntriesReleased], 0u);
+        EXPECT_GE(released[metrics::Stat::kBytesReleased], 64u);
+        EXPECT_GT(released[metrics::Stat::kBytesScanned], 0u);
+
+        g_rooted_slot = sys.allocator->alloc(64);
+        sys.allocator->free(g_rooted_slot);
+        rt.force_sweep();
+        EXPECT_GT(sys.counters()[metrics::Stat::kFailedFrees], 0u);
+        rt.remove_root(&g_rooted_slot);
+    }
+}
+
 }  // namespace
 }  // namespace msw::workload
