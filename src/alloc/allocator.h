@@ -54,20 +54,24 @@ class Allocator
     virtual void* alloc_aligned(std::size_t alignment, std::size_t size) = 0;
 
     /**
-     * Resize an allocation. The default implementation is
-     * allocate-copy-free; implementations with cheaper strategies
-     * override it.
+     * Resize an allocation: in place when @p new_size still fills more
+     * than half of the block, else allocate-copy-free. On failure returns
+     * nullptr and leaves the original block valid (the realloc contract).
      */
-    virtual void*
+    void*
     realloc(void* ptr, std::size_t new_size)
     {
         if (ptr == nullptr)
             return alloc(new_size);
         if (new_size == 0)
             new_size = 1;
-        const std::size_t old = usable_size(ptr);
+        const std::size_t old_usable = usable_size(ptr);
+        if (new_size <= old_usable && new_size * 2 > old_usable)
+            return ptr;
         void* fresh = alloc(new_size);
-        std::memcpy(fresh, ptr, old < new_size ? old : new_size);
+        if (fresh == nullptr)
+            return nullptr;
+        std::memcpy(fresh, ptr, old_usable < new_size ? old_usable : new_size);
         free(ptr);
         return fresh;
     }

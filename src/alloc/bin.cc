@@ -30,6 +30,8 @@ Bin::grab_slab_locked()
     return slab;
 }
 
+// msw-analyze: slow-path(the shared bin behind the thread cache: one lock
+// per refill of half a cache shard; per call only with enable_tcache off)
 unsigned
 Bin::alloc_batch(void** out, unsigned n)
 {
@@ -127,6 +129,8 @@ Bin::retire_if_empty_locked(ExtentMeta* meta)
     }
 }
 
+// msw-analyze: slow-path(the shared bin behind the thread cache: reached
+// per object of a cache-shard flush; per call only with enable_tcache off)
 void
 Bin::free_one(void* ptr, ExtentMeta* meta)
 {

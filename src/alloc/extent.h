@@ -130,15 +130,6 @@ class ExtentList
         e->next = nullptr;
     }
 
-    ExtentMeta*
-    pop_front()
-    {
-        ExtentMeta* e = head_;
-        if (e != nullptr)
-            remove(e);
-        return e;
-    }
-
   private:
     ExtentMeta* head_ = nullptr;
 };

@@ -158,6 +158,7 @@ JadeAllocator::arena_for_thread()
            opts_.arenas;
 }
 
+// msw-analyze: slow-path(once per thread: creates the thread's cache)
 JadeAllocator::TCache*
 JadeAllocator::make_tcache()
 {
@@ -354,6 +355,8 @@ JadeAllocator::alloc(std::size_t size)
     return out;
 }
 
+// msw-analyze: slow-path(page-scale allocation: maps a whole extent under
+// the extent lock, an mmap-scale operation by design)
 void*
 JadeAllocator::alloc_large(std::size_t size, std::size_t align_pages)
 {
@@ -479,6 +482,8 @@ JadeAllocator::free_decommitted(void* ptr)
     extents_.free_extent_decommitted(meta);
 }
 
+// msw-analyze: slow-path(page-scale free: returns a whole extent under the
+// extent lock, an mmap-scale operation by design)
 void
 JadeAllocator::free_large(ExtentMeta* meta)
 {
@@ -527,26 +532,6 @@ JadeAllocator::alloc_aligned(std::size_t alignment, std::size_t size)
     const std::size_t align_pages =
         alignment <= vm::kPageSize ? 1 : alignment >> vm::kPageShift;
     return alloc_large(size, align_pages);
-}
-
-void*
-JadeAllocator::realloc(void* ptr, std::size_t new_size)
-{
-    if (ptr == nullptr)
-        return alloc(new_size);
-    if (new_size == 0)
-        new_size = 1;
-    const std::size_t old_usable = usable_size(ptr);
-    if (new_size <= old_usable && new_size * 2 > old_usable)
-        return ptr;
-    void* fresh = alloc(new_size);
-    if (fresh == nullptr) {
-        // Per the realloc contract the original block stays valid.
-        return nullptr;
-    }
-    std::memcpy(fresh, ptr, old_usable < new_size ? old_usable : new_size);
-    free(ptr);
-    return fresh;
 }
 
 bool

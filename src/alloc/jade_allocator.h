@@ -100,9 +100,6 @@ class JadeAllocator final : public Allocator
      */
     void free_decommitted(void* ptr);
 
-    /** Resize in place when possible, else allocate/copy/free. */
-    void* realloc(void* ptr, std::size_t new_size) override;
-
     /** True if @p addr lies inside the heap reservation. */
     bool
     contains(std::uintptr_t addr) const
@@ -185,7 +182,6 @@ class JadeAllocator final : public Allocator
     TCache* get_tcache();
     TCache* make_tcache();
     void flush_shard(TCache* tc, unsigned cls, unsigned keep);
-    void free_small(void* ptr, ExtentMeta* meta);
     void free_large(ExtentMeta* meta);
     void free_direct_window(void* const* ptrs, std::size_t n);
     Bin& bin_for(std::uint8_t arena, unsigned cls) const;

@@ -164,22 +164,8 @@ FFMalloc::alloc(std::size_t size)
     if (size == 0)
         size = 1;
 
-    if (size > alloc::kMaxSmallSize) {
-        const std::size_t bytes = align_up(size, vm::kPageSize);
-        const std::uintptr_t addr = grab_span(bytes, vm::kPageSize);
-        if (addr == 0)
-            return nullptr;
-        const std::size_t first = page_index(addr);
-        const std::size_t pages = bytes >> vm::kPageShift;
-        page_info_[first] = kLargeStart | static_cast<std::uint32_t>(pages);
-        for (std::size_t i = 1; i < pages; ++i)
-            page_info_[first + i] = kLargeInterior;
-        // msw-relaxed(page-seal): per-page live census; only RMW
-        // atomicity matters, sealing re-checks under the pool lock.
-        page_live_[first].fetch_add(1, std::memory_order_relaxed);
-        stats_.add(core::Stat::kLiveBytes, bytes);
-        return to_ptr(addr);
-    }
+    if (size > alloc::kMaxSmallSize)
+        return alloc_large(size, vm::kPageSize);
 
     const unsigned cls = size_to_class(size);
     const std::size_t csize = class_size(cls);
@@ -220,11 +206,14 @@ FFMalloc::alloc_aligned(std::size_t alignment, std::size_t size)
         return alloc(size);
     MSW_CHECK(is_pow2(alignment));
     stats_.add(core::Stat::kAllocCalls);
-    if (size == 0)
-        size = 1;
+    return alloc_large(size == 0 ? 1 : size,
+                       alignment > vm::kPageSize ? alignment : vm::kPageSize);
+}
+
+void*
+FFMalloc::alloc_large(std::size_t size, std::size_t align_bytes)
+{
     const std::size_t bytes = align_up(size, vm::kPageSize);
-    const std::size_t align_bytes =
-        alignment > vm::kPageSize ? alignment : vm::kPageSize;
     const std::uintptr_t addr = grab_span(bytes, align_bytes);
     if (addr == 0)
         return nullptr;

@@ -97,6 +97,9 @@ class FFMalloc final : public core::RuntimeBase
 
     /** Returns 0 on VA exhaustion or transient commit failure. */
     std::uintptr_t grab_span(std::size_t bytes, std::size_t align_bytes);
+    /** A page-granular span of its own for @p size bytes (alloc() above
+        kMaxSmallSize, and every over-granule alloc_aligned()). */
+    void* alloc_large(std::size_t size, std::size_t align_bytes);
     /**
      * Caller holds pools_[cls].lock — not expressible to the analysis
      * through the index/reference aliasing, hence the opt-out.

@@ -2,7 +2,6 @@
 
 #include "sweep/residency.h"
 #include "util/bits.h"
-#include "util/log.h"
 
 namespace msw::baseline {
 
@@ -21,12 +20,15 @@ MarkUs::make_config(const Options& opts)
     c.reclaim.zeroing = false;
     c.control.background = opts.concurrent;
     c.make_tracker = true;
+    // The 25 % trigger alone: no unmapped trigger, no allocation pausing
+    // (the Config's defaults).
+    c.sweep_threshold = opts.quarantine_threshold;
+    c.min_sweep_bytes = opts.min_mark_bytes;
     return c;
 }
 
 MarkUs::MarkUs(const Options& opts)
-    : QuarantineRuntime(make_config(opts), [this] { run_mark(); }),
-      opts_(opts)
+    : QuarantineRuntime(make_config(opts), [this] { run_mark(); })
 {
     controller_.start();
 }
@@ -36,81 +38,6 @@ MarkUs::~MarkUs()
     // Before our members die: the mark function runs on the controller's
     // thread and calls back into this (derived) object.
     controller_.shutdown();
-}
-
-void*
-MarkUs::alloc(std::size_t size)
-{
-    stats_.add(Stat::kAllocCalls);
-    void* p = jade_.alloc(size + 1);  // end-pointer slack, as MineSweeper
-    if (__builtin_expect(p != nullptr, 1))
-        return p;
-    return alloc_slow(size + 1, 0);
-}
-
-void*
-MarkUs::alloc_aligned(std::size_t alignment, std::size_t size)
-{
-    stats_.add(Stat::kAllocCalls);
-    void* p = jade_.alloc_aligned(alignment, size + 1);
-    if (__builtin_expect(p != nullptr, 1))
-        return p;
-    return alloc_slow(size + 1, alignment);
-}
-
-void*
-MarkUs::alloc_slow(std::size_t request, std::size_t alignment)
-{
-    // Memory pressure: marking passes both release unreferenced
-    // quarantined objects and purge the allocator's free structures
-    // (run_mark closes with a purge), so a forced pass is the strongest
-    // reclaim available. Match MineSweeper's contract: never abort,
-    // return nullptr only once reclaim stops helping.
-    for (unsigned attempt = 0; attempt < 3; ++attempt) {
-        force_sweep();
-        void* p = alignment == 0 ? jade_.alloc(request)
-                                 : jade_.alloc_aligned(alignment, request);
-        if (p != nullptr)
-            return p;
-    }
-    MSW_LOG_WARN("markus: returning nullptr for %zu-byte request after "
-                 "forced marking passes",
-                 request);
-    return nullptr;
-}
-
-void
-MarkUs::free(void* ptr)
-{
-    if (ptr == nullptr)
-        return;
-    stats_.add(Stat::kFreeCalls);
-    const FreeTarget t = classify(to_addr(ptr));
-
-    if (absorb_double_free(ptr, t.base))
-        return;
-
-    quarantine_.insert(
-        reclaimer_.quarantine_prepare(ptr, t.base, t.usable, t.is_large));
-    maybe_trigger_mark();
-}
-
-void
-MarkUs::maybe_trigger_mark()
-{
-    const std::size_t pending = quarantine_.pending_bytes();
-    if (pending < opts_.min_mark_bytes)
-        return;
-    const std::size_t failed = quarantine_.failed_bytes();
-    const std::size_t unmapped = quarantine_.unmapped_bytes();
-    const std::size_t jade_live = jade_.live_bytes();
-    const std::size_t heap =
-        jade_live > failed + unmapped ? jade_live - failed - unmapped : 0;
-    if (static_cast<double>(pending) <
-        opts_.quarantine_threshold * static_cast<double>(heap)) {
-        return;
-    }
-    controller_.request_sweep(/*pause_allocations=*/false);
 }
 
 void

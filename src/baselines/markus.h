@@ -13,12 +13,14 @@
  * per-word allocation lookups and mark-stack traffic — exactly the costs
  * MineSweeper's linear sweep eliminates (paper §4.1, §6.6).
  *
- * All plumbing shared with MineSweeper — extent hooks, quarantine epochs,
- * double-free bitmap, root/thread registration, marker-thread lifecycle,
- * deferred unmaps and the sweep frame around the mark — lives in
- * core::QuarantineRuntime; this class keeps only what makes MarkUs
- * MarkUs: the transitive mark, its release filter, the purge after every
- * pass and the 25 % trigger.
+ * All plumbing shared with MineSweeper — the mutator path (alloc, free,
+ * the trigger formula, the out-of-memory ladder), extent hooks,
+ * quarantine epochs, double-free bitmap, root/thread registration,
+ * marker-thread lifecycle, deferred unmaps and the sweep frame around
+ * the mark — lives in core::QuarantineRuntime; this class keeps only
+ * what makes MarkUs MarkUs: the transitive mark, its release filter, the
+ * purge after every pass and the trigger values (25 %, no unmapped
+ * trigger, no allocation pausing).
  *
  * Fidelity notes:
  *  - 25 % quarantine threshold (the paper's MarkUs configuration, §3.2);
@@ -58,15 +60,9 @@ class MarkUs final : public core::QuarantineRuntime
     MarkUs(const MarkUs&) = delete;
     MarkUs& operator=(const MarkUs&) = delete;
 
-    void* alloc(std::size_t size) override;
-    void free(void* ptr) override;
-    void* alloc_aligned(std::size_t alignment, std::size_t size) override;
     const char* name() const override { return "markus"; }
 
   private:
-    void maybe_trigger_mark();
-    /** Substrate-exhaustion path: forced marking passes, then nullptr. */
-    void* alloc_slow(std::size_t request, std::size_t alignment);
     void run_mark();
     /**
      * Scan [base, base+len) for pointers; push newly marked objects.
@@ -82,8 +78,6 @@ class MarkUs final : public core::QuarantineRuntime
                             std::vector<sweep::Range>* worklist);
 
     static Config make_config(const Options& opts);
-
-    Options opts_;
 };
 
 }  // namespace msw::baseline

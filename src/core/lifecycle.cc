@@ -265,12 +265,6 @@ install_crash_handler_from_env()
     return true;
 }
 
-bool
-crash_handler_installed()
-{
-    return g_crash_installed.load(std::memory_order_acquire);
-}
-
 void
 note_mutator_thread(QuarantineRuntime* rt)
 {

@@ -86,8 +86,6 @@ void install_crash_handler();
 /** install_crash_handler() iff MSW_CRASH_REPORT is set non-"0". */
 bool install_crash_handler_from_env();
 
-bool crash_handler_installed();
-
 /**
  * Note that the calling thread registered with @p rt as a mutator.
  * If @p rt is the lifecycle-registered runtime, a TSD destructor is

@@ -1,15 +1,10 @@
 #include "core/minesweeper.h"
 
-#include <unistd.h>
-
-#include <cstring>
-
 #include "alloc/policy.h"
 #include "core/lifecycle.h"
 #include "metrics/telemetry.h"
 #include "sweep/residency.h"
 #include "util/bits.h"
-#include "util/log.h"
 
 namespace msw::core {
 
@@ -29,6 +24,13 @@ MineSweeper::make_config(const Options& opts)
     c.control.watchdog_timeout_ms = opts.watchdog_timeout_ms;
     c.make_tracker = opts.mode == Mode::kMostlyConcurrent;
     c.report_double_frees = opts.report_double_frees;
+    c.sweep_threshold = opts.sweep_threshold;
+    c.min_sweep_bytes = opts.min_sweep_bytes;
+    c.unmapped_factor = opts.unmapped_factor;
+    c.pause_factor = opts.pause_factor;
+    c.alloc_retry_attempts = opts.alloc_retry_attempts;
+    c.alloc_retry_backoff_us = opts.alloc_retry_backoff_us;
+    c.quarantine_enabled = opts.quarantine_enabled;
     return c;
 }
 
@@ -36,19 +38,15 @@ MineSweeper::make_config(const Options& opts)
 // g_state init latch; never runs on the steady-state alloc/free path)
 MineSweeper::MineSweeper(const Options& opts)
     : QuarantineRuntime(make_config(opts), [this] { run_sweep(); }),
-      opts_([&] {
-          Options o = opts;
-          // Mirror the base's decay override (§4.5) so options() reports
-          // the configuration actually in effect.
-          o.jade.decay_ms = 0;
-          return o;
-      }()),
+      mark_(opts.sweep_enabled),
+      keep_failed_(opts.keep_failed),
+      purge_(opts.purging),
       marker_(&mark_bits_, jade_.reservation().base(),
               jade_.reservation().end())
 {
-    if (opts_.helper_threads > 0)
+    if (opts.helper_threads > 0)
         workers_ = std::make_unique<sweep::SweepWorkers>(
-            opts_.helper_threads);
+            opts.helper_threads);
 
     controller_.start();
 
@@ -65,244 +63,6 @@ MineSweeper::~MineSweeper()
     // workers_, which are gone by the time the base destructor runs.
     controller_.shutdown();
     workers_.reset();
-}
-
-// ----------------------------------------------------------------- alloc
-
-void*
-MineSweeper::alloc(std::size_t size)
-{
-    // Telemetry op sampling (MSW_TELEMETRY=ops): off means one relaxed
-    // load and a predicted-not-taken branch; on costs two clock reads.
-    const bool timed = __builtin_expect(metrics::telemetry().ops_on(), 0);
-    const std::uint64_t t0 = timed ? monotonic_ns() : 0;
-    stats_.add(Stat::kAllocCalls);
-    controller_.maybe_pause();
-    // +1 byte so one-past-the-end pointers stay inside the allocation
-    // (paper §3.2); size classes are 16 B-granular so this usually costs
-    // nothing.
-    void* p = jade_.alloc(size + 1);
-    if (__builtin_expect(p == nullptr, 0))
-        p = alloc_slow(size + 1, 0);
-    // Hardened policy: arm the canary in the reserved slack byte. Under
-    // the default policy this is one predicted-not-taken branch.
-    const auto arm = config_.policy->arm_canary;
-    if (__builtin_expect(arm != nullptr, 0) && p != nullptr)
-        arm(p, jade_.usable_size(p));
-    if (__builtin_expect(timed, 0))
-        metrics::telemetry().alloc_ns.record(monotonic_ns() - t0);
-    return p;
-}
-
-void*
-MineSweeper::alloc_aligned(std::size_t alignment, std::size_t size)
-{
-    const bool timed = __builtin_expect(metrics::telemetry().ops_on(), 0);
-    const std::uint64_t t0 = timed ? monotonic_ns() : 0;
-    stats_.add(Stat::kAllocCalls);
-    controller_.maybe_pause();
-    void* p = jade_.alloc_aligned(alignment, size + 1);
-    if (__builtin_expect(p == nullptr, 0))
-        p = alloc_slow(size + 1, alignment);
-    const auto arm = config_.policy->arm_canary;
-    if (__builtin_expect(arm != nullptr, 0) && p != nullptr)
-        arm(p, jade_.usable_size(p));
-    if (__builtin_expect(timed, 0))
-        metrics::telemetry().alloc_ns.record(monotonic_ns() - t0);
-    return p;
-}
-
-void*
-MineSweeper::alloc_slow(std::size_t request, std::size_t alignment)
-{
-    // Degradation ladder (never abort): the substrate failed, which means
-    // the heap VA is exhausted or a commit hit transient ENOMEM — both
-    // conditions a quarantine full of reclaimable memory can cause. Back
-    // off, then interleave retries with emergency reclaims; only report
-    // OOM to the caller once every attempt is spent.
-    unsigned backoff_us = opts_.alloc_retry_backoff_us;
-    for (unsigned attempt = 0; attempt < opts_.alloc_retry_attempts;
-         ++attempt) {
-        if (attempt > 0) {
-            // First retry is cheap (the kernel may just have been briefly
-            // unwilling); later ones drain quarantine first.
-            emergency_reclaim();
-        }
-        if (backoff_us > 0) {
-            ::usleep(backoff_us);
-            backoff_us *= 2;
-        }
-        stats_.add(Stat::kCommitRetries);
-        void* p = alignment > 0 ? jade_.alloc_aligned(alignment, request)
-                                : jade_.alloc(request);
-        if (p != nullptr)
-            return p;
-    }
-    stats_.add(Stat::kOomReturns);
-    metrics::telemetry().trace_event(metrics::TraceEvent::kOomReturn,
-                                     request);
-    MSW_LOG_WARN("alloc of %zu bytes failed after %u attempts with "
-                 "emergency sweeps; returning nullptr",
-                 request, opts_.alloc_retry_attempts);
-    return nullptr;
-}
-
-void
-MineSweeper::emergency_reclaim()
-{
-    stats_.add(Stat::kEmergencySweeps);
-    metrics::telemetry().trace_event(metrics::TraceEvent::kEmergencySweep);
-    if (!SweepController::in_sweep_context()) {
-        quarantine_.flush_thread_buffer();
-        if (!controller_.run_sweep_now()) {
-            // Another thread owns the sweep; give it a moment to finish
-            // so the purge below sees its released extents.
-            controller_.wait_for_sweep_completion(100);
-        }
-    }
-    // Return every free extent's pages to the OS so the next commit can
-    // succeed even when the kernel is the constraint.
-    jade_.purge_all();
-}
-
-void*
-MineSweeper::realloc(void* ptr, std::size_t new_size)
-{
-    if (ptr == nullptr)
-        return alloc(new_size);
-    if (new_size == 0)
-        new_size = 1;
-    const std::size_t old_usable = usable_size(ptr);
-    if (new_size <= old_usable && new_size * 2 > old_usable)
-        return ptr;
-    void* fresh = alloc(new_size);
-    if (fresh == nullptr) {
-        // Per the realloc contract the original block stays valid.
-        return nullptr;
-    }
-    std::memcpy(fresh, ptr,
-                old_usable < new_size ? old_usable : new_size);
-    free(ptr);
-    return fresh;
-}
-
-// ------------------------------------------------------------------ free
-
-void
-MineSweeper::free(void* ptr)
-{
-    if (ptr == nullptr)
-        return;
-    // Same sampling shape as alloc(): gate cost when off is one relaxed
-    // load; the early returns inside free_impl stay untouched.
-    const bool timed = __builtin_expect(metrics::telemetry().ops_on(), 0);
-    if (!timed) {
-        free_impl(ptr);
-        return;
-    }
-    const std::uint64_t t0 = monotonic_ns();
-    free_impl(ptr);
-    metrics::telemetry().free_ns.record(monotonic_ns() - t0);
-}
-
-void
-MineSweeper::free_impl(void* ptr)
-{
-    stats_.add(Stat::kFreeCalls);
-    const FreeTarget t = classify(to_addr(ptr));
-
-    // Double-free de-duplication (paper §3): while the allocation is in
-    // quarantine, further frees are idempotent. Checked before the canary:
-    // the quarantine fill already overwrote the canary of a freed block,
-    // so testing it again on a double free would false-positive.
-    if (absorb_double_free(ptr, t.base))
-        return;
-
-    const auto check = config_.policy->check_canary;
-    if (__builtin_expect(check != nullptr, 0)) {
-        stats_.add(Stat::kCanaryChecks);
-        if (!check(ptr, t.usable)) {
-            stats_.add(Stat::kCanaryViolations);
-            alloc::policy_violation("heap-overflow canary clobbered at free",
-                                    ptr);
-        }
-    }
-
-    if (!opts_.quarantine_enabled) {
-        // Partial versions 1-2 (§5.5): apply unmap/zero side effects, then
-        // forward straight to the allocator.
-        if (opts_.unmapping && t.is_large) {
-            if (jade_.reservation().decommit(t.base, t.usable) ==
-                vm::VmStatus::kOk) {
-                if (!reclaimer_.protect_rw_with_retry(t.base, t.usable)) {
-                    // Pages stuck inaccessible: handing them back for
-                    // reuse would fault the program. Keep the block
-                    // quarantined (bounded leak) instead of crashing.
-                    quarantine_.insert(Entry::make(t.base, t.usable, true));
-                    return;
-                }
-            } else if (opts_.zeroing) {
-                std::memset(ptr, 0, t.usable);
-            }
-        } else if (opts_.zeroing) {
-            std::memset(ptr, 0, t.usable);
-        }
-        quarantine_bitmap_.clear(t.base);
-        jade_.free(ptr);
-        return;
-    }
-
-    quarantine_.insert(
-        reclaimer_.quarantine_prepare(ptr, t.base, t.usable, t.is_large));
-    maybe_trigger_sweep();
-}
-
-// ------------------------------------------------------------- triggering
-
-void
-MineSweeper::maybe_trigger_sweep()
-{
-    const std::size_t pending = quarantine_.pending_bytes();
-    if (pending < opts_.min_sweep_bytes &&
-        quarantine_.unmapped_bytes() < opts_.min_sweep_bytes) {
-        return;
-    }
-    const std::size_t failed = quarantine_.failed_bytes();
-    const std::size_t unmapped = quarantine_.unmapped_bytes();
-    const std::size_t jade_live = jade_.live_bytes();
-    // Heap size for the trigger: total live bytes minus failed frees
-    // (subtracted from both sides, §3.2) minus unmapped quarantine (which
-    // no longer consumes memory, §4.2).
-    const std::size_t heap =
-        jade_live > failed + unmapped ? jade_live - failed - unmapped : 0;
-
-    bool trigger =
-        pending >= opts_.min_sweep_bytes &&
-        static_cast<double>(pending) >=
-            opts_.sweep_threshold * static_cast<double>(heap);
-
-    // Unmapped quarantine pressures kernel/allocator metadata even though
-    // it holds no memory: sweep when it reaches 9x the footprint (§4.2).
-    if (!trigger && unmapped >= opts_.min_sweep_bytes &&
-        static_cast<double>(unmapped) >=
-            opts_.unmapped_factor *
-                static_cast<double>(access_map_.committed_bytes())) {
-        trigger = true;
-    }
-
-    if (!trigger)
-        return;
-
-    // Backpressure (§5.7): if the quarantine has grown far past the heap
-    // while a sweep is running, pause this allocating thread until the
-    // sweep completes.
-    const bool pause =
-        opts_.pause_factor > 0 &&
-        static_cast<double>(pending) >
-            opts_.pause_factor *
-                static_cast<double>(heap > pending ? heap - pending
-                                                   : pending);
-    controller_.request_sweep(pause);
 }
 
 // ---------------------------------------------------------------- sweeps
@@ -362,7 +122,7 @@ MineSweeper::run_sweep()
     const std::uint64_t helpers0 =
         workers_ != nullptr ? workers_->helper_cpu_ns() : 0;
 
-    if (opts_.sweep_enabled) {
+    if (mark_) {
         arm_tracker();
         // Phase 1b (mark): concurrent linear mark of all scannable
         // memory, plus the STW recheck when tracking.
@@ -409,7 +169,7 @@ MineSweeper::run_sweep()
     // written in the first place, hence the zeroing gate; unmapped
     // entries have no bytes to audit.
     const auto check_fill =
-        opts_.zeroing ? config_.policy->check_free_fill : nullptr;
+        config_.reclaim.zeroing ? config_.policy->check_free_fill : nullptr;
 
     auto release_job = [&](unsigned index) {
         // Sweep context with restore on exit: index 0 runs on the
@@ -432,11 +192,10 @@ MineSweeper::run_sweep()
             for (std::size_t i = start; i < end; ++i) {
                 const Entry& e = locked_in_[i];
                 const bool marked =
-                    opts_.sweep_enabled &&
-                    mark_bits_.test_range(e.real_base(), e.usable);
+                    mark_ && mark_bits_.test_range(e.real_base(), e.usable);
                 if (marked) {
                     ++t.failed_count;
-                    if (opts_.keep_failed) {
+                    if (keep_failed_) {
                         t.failed.push_back(e);
                         continue;
                     }
@@ -491,7 +250,7 @@ MineSweeper::run_sweep()
     const std::uint64_t helpers1 =
         workers_ != nullptr ? workers_->helper_cpu_ns() : 0;
     // §4.5: full allocator purge synchronised with the end of the sweep.
-    close_sweep(std::move(failed), opts_.purging,
+    close_sweep(std::move(failed), purge_,
                 {sum.released, sum.released_bytes, sum.failed_count},
                 helpers1 - helpers0);
 }

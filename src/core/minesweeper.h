@@ -25,9 +25,11 @@
  * The mechanism layers live in the QuarantineRuntime base (see
  * runtime_base.h): SweepController decides *when* a sweep runs, Reclaimer
  * decides *how* quarantined memory comes back, StatCells counts the fast
- * path without cache-line contention. This class keeps the policy: the
- * linear mark (sweep::Marker), the trigger thresholds and the allocation
- * degradation ladder.
+ * path without cache-line contention; the base also runs the mutator
+ * path (alloc, free, the trigger, the out-of-memory ladder) MarkUs
+ * shares. This class keeps the linear sweep (sweep::Marker with its
+ * helper threads, the release filter and the Fig 15-17 sweep switches)
+ * and the mapping of Options onto the base's Config.
  */
 #pragma once
 
@@ -66,14 +68,7 @@ class MineSweeper final : public QuarantineRuntime
     MineSweeper(const MineSweeper&) = delete;
     MineSweeper& operator=(const MineSweeper&) = delete;
 
-    // ------------------------------------------------------- Allocator
-    void* alloc(std::size_t size) override;
-    void free(void* ptr) override;
-    void* alloc_aligned(std::size_t alignment, std::size_t size) override;
     const char* name() const override { return "minesweeper"; }
-
-    /** realloc with quarantine-correct free of the old block. */
-    void* realloc(void* ptr, std::size_t new_size) override;
 
     /**
      * Install a callback producing *additional* root ranges, re-evaluated
@@ -89,8 +84,6 @@ class MineSweeper final : public QuarantineRuntime
     // ---------------------------------------------------------- Control
 
     SweepStats sweep_stats() const;
-
-    const Options& options() const { return opts_; }
 
     // ------------------------------------------------- Process lifecycle
 
@@ -127,22 +120,16 @@ class MineSweeper final : public QuarantineRuntime
     std::uint64_t sweep_epoch() const { return controller_.sweeps_done(); }
 
   private:
-    /** free() body; the public entry only adds optional op timing. */
-    void free_impl(void* ptr);
-    void maybe_trigger_sweep();
     void run_sweep();
     std::vector<sweep::Range> scan_ranges() const;
 
-    /** Slow path once the substrate returns nullptr: retry with backoff,
-        interleaving emergency reclaims; nullptr only when exhausted. */
-    void* alloc_slow(std::size_t request, std::size_t alignment);
-
-    /** Synchronous sweep + full purge to free memory *now*. */
-    void emergency_reclaim();
-
     static Config make_config(const Options& opts);
 
-    Options opts_;
+    /** The sweep's own switches (Options::sweep_enabled, keep_failed,
+        purging: the Fig 15-17 ablations). */
+    const bool mark_;
+    const bool keep_failed_;
+    const bool purge_;
     sweep::Marker marker_;
     std::unique_ptr<sweep::SweepWorkers> workers_;
 

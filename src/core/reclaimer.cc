@@ -38,44 +38,51 @@ Entry
 Reclaimer::quarantine_prepare(void* ptr, std::uintptr_t base,
                               std::size_t usable, bool is_large)
 {
-    Entry entry = Entry::make(base, usable, false);
-
-    if (config_.unmapping && is_large) {
-        // Large allocations span exclusively-owned pages: release the
-        // physical memory immediately (§4.2). If a sweep is scanning,
-        // defer the decommit so concurrent marking never faults.
-        entry = Entry::make(base, usable, true);
-        LockGuard g(unmap_lock_);
-        // msw-relaxed(epoch-handoff): read under unmap_lock_, which
-        // begin_scan/end_scan hold when they flip it.
-        if (scan_active_.load(std::memory_order_relaxed)) {
-            if (pending_unmaps_.size() < config_.max_pending_unmaps) {
-                pending_unmaps_.push_back(entry);
-                stats_->add(Stat::kUnmappedEntries);
-            } else {
-                // Queue full: forgo the unmap for this entry (safe; it
-                // just stays mapped while quarantined).
-                entry = Entry::make(base, usable, false);
-                if (config_.zeroing)
-                    fill_free(ptr, usable);
-            }
-        } else if (unmap_entry(base, usable)) {
-            stats_->add(Stat::kUnmappedEntries);
-        } else {
-            // Decommit refused under pressure: same safe downgrade as a
-            // full queue — the entry stays mapped while quarantined.
-            entry = Entry::make(base, usable, false);
-            if (config_.zeroing)
-                fill_free(ptr, usable);
-        }
-    } else if (config_.zeroing) {
+    if (config_.unmapping && is_large)
+        return prepare_unmapped(ptr, base, usable);
+    if (config_.zeroing) {
         // Zeroing removes dangling pointers *from* quarantined data,
         // flattening the reference graph and breaking cycles (§4.1). The
         // policy hook may add a guard byte in the reserved tail slack,
         // which the sweeper verifies at release (alloc/policy.h).
         fill_free(ptr, usable);
     }
+    return Entry::make(base, usable, false);
+}
 
+// msw-analyze: slow-path(page-scale frees only: the decommit it runs or
+// defers is a syscall-scale operation by design)
+Entry
+Reclaimer::prepare_unmapped(void* ptr, std::uintptr_t base,
+                            std::size_t usable)
+{
+    // Large allocations span exclusively-owned pages: release the
+    // physical memory immediately (§4.2). If a sweep is scanning,
+    // defer the decommit so concurrent marking never faults.
+    Entry entry = Entry::make(base, usable, true);
+    LockGuard g(unmap_lock_);
+    // msw-relaxed(epoch-handoff): read under unmap_lock_, which
+    // begin_scan/end_scan hold when they flip it.
+    if (scan_active_.load(std::memory_order_relaxed)) {
+        if (pending_unmaps_.size() < config_.max_pending_unmaps) {
+            pending_unmaps_.push_back(entry);
+            stats_->add(Stat::kUnmappedEntries);
+        } else {
+            // Queue full: forgo the unmap for this entry (safe; it
+            // just stays mapped while quarantined).
+            entry = Entry::make(base, usable, false);
+            if (config_.zeroing)
+                fill_free(ptr, usable);
+        }
+    } else if (unmap_entry(base, usable)) {
+        stats_->add(Stat::kUnmappedEntries);
+    } else {
+        // Decommit refused under pressure: same safe downgrade as a
+        // full queue — the entry stays mapped while quarantined.
+        entry = Entry::make(base, usable, false);
+        if (config_.zeroing)
+            fill_free(ptr, usable);
+    }
     return entry;
 }
 

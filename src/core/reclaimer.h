@@ -132,6 +132,11 @@ class Reclaimer
     /** Zero (or policy-fill) a quarantined block of @p usable bytes. */
     void fill_free(void* ptr, std::size_t usable);
 
+    /** quarantine_prepare() of a large block under unmapping: decommit
+        its pages now, or defer that while a sweep scans. */
+    quarantine::Entry prepare_unmapped(void* ptr, std::uintptr_t base,
+                                       std::size_t usable);
+
     Config config_;
     alloc::JadeAllocator* jade_;
     sweep::PageAccessMap* access_map_;

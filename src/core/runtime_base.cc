@@ -2,6 +2,8 @@
 
 #include <unistd.h>
 
+#include <cstring>
+
 #include "alloc/extent.h"
 #include "alloc/policy.h"
 #include "alloc/size_classes.h"
@@ -157,36 +159,234 @@ QuarantineRuntime::~QuarantineRuntime()
     jade_.extents().set_hooks(nullptr);
 }
 
-QuarantineRuntime::FreeTarget
-QuarantineRuntime::classify(std::uintptr_t addr) const
+// ----------------------------------------------------------------- alloc
+
+inline void*
+QuarantineRuntime::alloc(std::size_t size, std::size_t alignment)
 {
-    MSW_CHECK(jade_.contains(addr));
-    ExtentMeta* meta = jade_.extents().lookup_live(addr);
-    FreeTarget t;
-    if (meta->kind == ExtentKind::kLarge) {
-        t.base = meta->base;
-        t.usable = meta->bytes();
-        t.is_large = true;
-    } else {
-        const std::size_t obj = alloc::class_size(meta->cls);
-        t.base = meta->base + ((addr - meta->base) / obj) * obj;
-        t.usable = obj;
-        t.is_large = false;
-    }
-    MSW_CHECK(t.base == addr);
-    return t;
+    // Telemetry op sampling (MSW_TELEMETRY=ops): off means one relaxed
+    // load and a predicted-not-taken branch; on costs two clock reads.
+    const bool timed = __builtin_expect(metrics::telemetry().ops_on(), 0);
+    const std::uint64_t t0 = timed ? monotonic_ns() : 0;
+    stats_.add(Stat::kAllocCalls);
+    controller_.maybe_pause();
+    // +1 byte so one-past-the-end pointers stay inside the allocation
+    // (paper §3.2); size classes are 16 B-granular so this usually costs
+    // nothing.
+    void* p = alignment == 0 ? jade_.alloc(size + 1)
+                             : jade_.alloc_aligned(alignment, size + 1);
+    if (__builtin_expect(p == nullptr, 0))
+        p = alloc_slow(size + 1, alignment);
+    // Hardened policy: arm the canary in the reserved slack byte. Under
+    // the default policy this is one predicted-not-taken branch.
+    const auto arm = config_.policy->arm_canary;
+    if (__builtin_expect(arm != nullptr, 0) && p != nullptr)
+        arm(p, jade_.usable_size(p));
+    if (__builtin_expect(timed, 0))
+        metrics::telemetry().alloc_ns.record(monotonic_ns() - t0);
+    return p;
 }
 
-bool
-QuarantineRuntime::absorb_double_free(void* ptr, std::uintptr_t base)
+void*
+QuarantineRuntime::alloc(std::size_t size)
 {
-    if (!quarantine_bitmap_.test_and_set(base))
-        return false;
-    stats_.add(Stat::kDoubleFrees);
-    if (config_.report_double_frees)
-        MSW_LOG_WARN("double free of %p absorbed", ptr);
-    return true;
+    return alloc(size, 0);
 }
+
+void*
+QuarantineRuntime::alloc_aligned(std::size_t alignment, std::size_t size)
+{
+    return alloc(size, alignment);
+}
+
+// msw-analyze: slow-path(the substrate returned nullptr: the out-of-memory
+// ladder backs off, sweeps and purges)
+void*
+QuarantineRuntime::alloc_slow(std::size_t request, std::size_t alignment)
+{
+    // Degradation ladder (never abort): the substrate failed, which means
+    // the heap VA is exhausted or a commit hit transient ENOMEM — both
+    // conditions a quarantine full of reclaimable memory can cause. Back
+    // off, then interleave retries with emergency reclaims; only report
+    // OOM to the caller once every attempt is spent.
+    unsigned backoff_us = config_.alloc_retry_backoff_us;
+    for (unsigned attempt = 0; attempt < config_.alloc_retry_attempts;
+         ++attempt) {
+        if (attempt > 0) {
+            // First retry is cheap (the kernel may just have been briefly
+            // unwilling); later ones drain quarantine first.
+            emergency_reclaim();
+        }
+        if (backoff_us > 0) {
+            ::usleep(backoff_us);
+            backoff_us *= 2;
+        }
+        stats_.add(Stat::kCommitRetries);
+        void* p = alignment > 0 ? jade_.alloc_aligned(alignment, request)
+                                : jade_.alloc(request);
+        if (p != nullptr)
+            return p;
+    }
+    stats_.add(Stat::kOomReturns);
+    metrics::telemetry().trace_event(TraceEvent::kOomReturn, request);
+    MSW_LOG_WARN("%s: alloc of %zu bytes failed after %u attempts with "
+                 "emergency sweeps; returning nullptr",
+                 name(), request, config_.alloc_retry_attempts);
+    return nullptr;
+}
+
+void
+QuarantineRuntime::emergency_reclaim()
+{
+    stats_.add(Stat::kEmergencySweeps);
+    metrics::telemetry().trace_event(TraceEvent::kEmergencySweep);
+    if (!SweepController::in_sweep_context()) {
+        quarantine_.flush_thread_buffer();
+        if (!controller_.run_sweep_now()) {
+            // Another thread owns the sweep; give it a moment to finish
+            // so the purge below sees its released extents.
+            controller_.wait_for_sweep_completion(100);
+        }
+    }
+    // Return every free extent's pages to the OS so the next commit can
+    // succeed even when the kernel is the constraint.
+    jade_.purge_all();
+}
+
+// ------------------------------------------------------------------ free
+
+void
+QuarantineRuntime::free(void* ptr)
+{
+    if (ptr == nullptr)
+        return;
+    // Same sampling shape as alloc(): gate cost when off is one relaxed
+    // load; the early returns inside free_impl stay untouched.
+    const bool timed = __builtin_expect(metrics::telemetry().ops_on(), 0);
+    if (!timed) {
+        free_impl(ptr);
+        return;
+    }
+    const std::uint64_t t0 = monotonic_ns();
+    free_impl(ptr);
+    metrics::telemetry().free_ns.record(monotonic_ns() - t0);
+}
+
+void
+QuarantineRuntime::free_impl(void* ptr)
+{
+    stats_.add(Stat::kFreeCalls);
+    // Resolve the allocation; base must equal the pointer (invalid or
+    // interior frees are programming errors, as in the paper).
+    const std::uintptr_t addr = to_addr(ptr);
+    MSW_CHECK(jade_.contains(addr));
+    const ExtentMeta* meta = jade_.extents().lookup_live(addr);
+    const bool is_large = meta->kind == ExtentKind::kLarge;
+    const std::size_t usable =
+        is_large ? meta->bytes() : alloc::class_size(meta->cls);
+    const std::uintptr_t base =
+        is_large ? meta->base
+                 : meta->base + ((addr - meta->base) / usable) * usable;
+    MSW_CHECK(base == addr);
+
+    // Double-free de-duplication (paper §3): while the allocation is in
+    // quarantine, further frees are idempotent. Checked before the canary:
+    // the quarantine fill already overwrote the canary of a freed block,
+    // so testing it again on a double free would false-positive.
+    if (quarantine_bitmap_.test_and_set(base)) {
+        stats_.add(Stat::kDoubleFrees);
+        if (config_.report_double_frees)
+            MSW_LOG_WARN("double free of %p absorbed", ptr);
+        return;
+    }
+
+    const auto check = config_.policy->check_canary;
+    if (__builtin_expect(check != nullptr, 0)) {
+        stats_.add(Stat::kCanaryChecks);
+        if (!check(ptr, usable)) {
+            stats_.add(Stat::kCanaryViolations);
+            alloc::policy_violation("heap-overflow canary clobbered at free",
+                                    ptr);
+        }
+    }
+
+    if (!config_.quarantine_enabled) {
+        // Partial versions 1-2 (§5.5): apply unmap/zero side effects, then
+        // forward straight to the allocator.
+        if (config_.reclaim.unmapping && is_large) {
+            if (jade_.reservation().decommit(base, usable) ==
+                vm::VmStatus::kOk) {
+                if (!reclaimer_.protect_rw_with_retry(base, usable)) {
+                    // Pages stuck inaccessible: handing them back for
+                    // reuse would fault the program. Keep the block
+                    // quarantined (bounded leak) instead of crashing.
+                    quarantine_.insert(Entry::make(base, usable, true));
+                    return;
+                }
+            } else if (config_.reclaim.zeroing) {
+                std::memset(ptr, 0, usable);
+            }
+        } else if (config_.reclaim.zeroing) {
+            std::memset(ptr, 0, usable);
+        }
+        quarantine_bitmap_.clear(base);
+        jade_.free(ptr);
+        return;
+    }
+
+    quarantine_.insert(
+        reclaimer_.quarantine_prepare(ptr, base, usable, is_large));
+    maybe_trigger_sweep();
+}
+
+// ------------------------------------------------------------- triggering
+
+void
+QuarantineRuntime::maybe_trigger_sweep()
+{
+    const std::size_t min_bytes = config_.min_sweep_bytes;
+    const std::size_t pending = quarantine_.pending_bytes();
+    const std::size_t unmapped = quarantine_.unmapped_bytes();
+    if (pending < min_bytes && unmapped < min_bytes)
+        return;
+    const std::size_t failed = quarantine_.failed_bytes();
+    const std::size_t jade_live = jade_.live_bytes();
+    // Heap size for the trigger: total live bytes minus failed frees
+    // (subtracted from both sides, §3.2) minus unmapped quarantine (which
+    // no longer consumes memory, §4.2).
+    const std::size_t heap =
+        jade_live > failed + unmapped ? jade_live - failed - unmapped : 0;
+
+    bool trigger = pending >= min_bytes &&
+                   static_cast<double>(pending) >=
+                       config_.sweep_threshold * static_cast<double>(heap);
+
+    // Unmapped quarantine pressures kernel/allocator metadata even though
+    // it holds no memory: sweep when it reaches a multiple of the
+    // footprint (MineSweeper: 9x, §4.2).
+    if (!trigger && config_.unmapped_factor > 0 && unmapped >= min_bytes &&
+        static_cast<double>(unmapped) >=
+            config_.unmapped_factor *
+                static_cast<double>(access_map_.committed_bytes())) {
+        trigger = true;
+    }
+
+    if (!trigger)
+        return;
+
+    // Backpressure (§5.7): if the quarantine has grown far past the heap
+    // while a sweep is running, pause this allocating thread until the
+    // sweep completes.
+    const bool pause =
+        config_.pause_factor > 0 &&
+        static_cast<double>(pending) >
+            config_.pause_factor *
+                static_cast<double>(heap > pending ? heap - pending
+                                                   : pending);
+    controller_.request_sweep(pause);
+}
+
+// --------------------------------------------------------------- surface
 
 std::size_t
 QuarantineRuntime::usable_size(const void* ptr) const

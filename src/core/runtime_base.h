@@ -17,10 +17,14 @@
  *
  * QuarantineRuntime owns the *mechanism* layers extracted from the old
  * god-object — SweepController (when sweeps run), Reclaimer (how memory
- * comes back) and StatCells (how the fast path counts) — and the frame
+ * comes back) and StatCells (how the fast path counts) — the whole
+ * mutator path both runtimes share (alloc with its +1 B slack and canary
+ * arm, free with its double-free de-dup, canary check and quarantine
+ * insert, the sweep trigger and the out-of-memory ladder) and the frame
  * every sweep pass shares (open, dirty-scan, stop-the-world recheck,
- * drain, close). The derived classes keep only their *policy*: the mark
- * strategy, the release filter, the purge rule and when to trigger one.
+ * drain, close). The derived classes keep only how a sweep finds
+ * dangling pointers: the sweep function with its mark strategy and
+ * release filter, and the Config values their options map onto.
  */
 #pragma once
 
@@ -68,10 +72,10 @@ class RuntimeBase : public alloc::Allocator
 
 /**
  * Shared plumbing for quarantine-based runtimes sitting on the JadeHeap
- * substrate: the committed-page hooks, the quarantine epochs and
- * double-free bitmap, root/thread registration, the reclaimer and the
- * sweep controller. Derived classes provide the sweep function and the
- * trigger policy.
+ * substrate: the mutator path (alloc, free, the sweep trigger, the
+ * out-of-memory ladder), the committed-page hooks, the quarantine epochs
+ * and double-free bitmap, root/thread registration, the reclaimer and
+ * the sweep controller. Derived classes provide the sweep function.
  */
 class QuarantineRuntime : public RuntimeBase
 {
@@ -93,9 +97,40 @@ class QuarantineRuntime : public RuntimeBase
          * reclaim.policy so every layer agrees; never null afterwards.
          */
         const alloc::AllocPolicy* policy = nullptr;
+
+        // --- Trigger (paper §3.2, §4.2, §5.7) ----------------------------
+
+        /** Sweep when quarantine exceeds this fraction of the live heap. */
+        double sweep_threshold = 0.15;
+        /** Do not sweep below this many quarantined bytes. */
+        std::size_t min_sweep_bytes = std::size_t{1} << 20;
+        /** Sweep when unmapped quarantine exceeds this multiple of the
+            committed footprint; 0 disables the unmapped trigger. */
+        double unmapped_factor = 0;
+        /** Pause allocations while quarantine exceeds this multiple of
+            the live heap and a sweep runs; 0 disables pausing. */
+        double pause_factor = 0;
+
+        // --- Out-of-memory ladder ----------------------------------------
+
+        /** Substrate attempts before alloc() returns nullptr; each after
+            the first runs an emergency sweep and purge first. */
+        unsigned alloc_retry_attempts = 4;
+        /** Backoff before each attempt, doubled per attempt (µs). */
+        unsigned alloc_retry_backoff_us = 100;
+
+        /** False: free() forwards to the substrate after its zeroing or
+            unmapping, quarantining nothing (Fig 17 versions 1-2). */
+        bool quarantine_enabled = true;
     };
 
     ~QuarantineRuntime() override;
+
+    // --------------------------------------------------------- Allocator
+
+    void* alloc(std::size_t size) override;
+    void* alloc_aligned(std::size_t alignment, std::size_t size) override;
+    void free(void* ptr) override;
 
     // ------------------------------------------------------ Roots/threads
 
@@ -162,23 +197,6 @@ class QuarantineRuntime : public RuntimeBase
     QuarantineRuntime(const Config& config,
                       std::function<void()> sweep_fn);
 
-    /** A freed pointer resolved against the substrate's metadata. */
-    struct FreeTarget {
-        std::uintptr_t base;
-        std::size_t usable;
-        bool is_large;
-    };
-
-    /** Resolve @p addr to its allocation; checks base==addr (invalid or
-        interior frees are programming errors, as in the paper). */
-    FreeTarget classify(std::uintptr_t addr) const;
-
-    /**
-     * Double-free de-duplication (paper §3): returns true (and counts)
-     * if @p base is already quarantined — the free is idempotent.
-     */
-    bool absorb_double_free(void* ptr, std::uintptr_t base);
-
     // ------------------------------------------------------- Sweep frame
     // The steps every sweep pass shares, in the order a pass runs them;
     // only the sweep function calls them (serialized by the sweep token).
@@ -239,6 +257,23 @@ class QuarantineRuntime : public RuntimeBase
 
   private:
     class Hooks;
+
+    /** alloc() and alloc_aligned() (@p alignment 0: none): op timing,
+        allocation pausing, the +1 B slack and the canary arm. */
+    void* alloc(std::size_t size, std::size_t alignment);
+
+    /** Slow path once the substrate returns nullptr: retry with backoff,
+        interleaving emergency reclaims; nullptr only when exhausted. */
+    void* alloc_slow(std::size_t request, std::size_t alignment);
+
+    /** Synchronous sweep + full purge to free memory *now*. */
+    void emergency_reclaim();
+
+    /** free() body; the public entry only adds optional op timing. */
+    void free_impl(void* ptr);
+
+    /** Request a sweep once quarantine passes the Config's trigger. */
+    void maybe_trigger_sweep();
 
     std::unique_ptr<Hooks> hooks_;
 };

@@ -264,6 +264,8 @@ SweepController::await(std::uint64_t period_ms, OnMiss on_miss, Done done)
     }
 }
 
+// msw-analyze: slow-path(only once quarantine passes its trigger: posting
+// the request, or running the sweep when synchronous, is the point of it)
 void
 SweepController::request_sweep(bool pause_allocations)
 {
@@ -388,6 +390,14 @@ SweepController::maybe_pause()
         !pause_flag_.load(std::memory_order_relaxed)) {
         return;
     }
+    pause();
+}
+
+// msw-analyze: slow-path(only while a sweep holds allocations paused:
+// the §5.7 backpressure wait is the point of it)
+void
+SweepController::pause()
+{
     const std::uint64_t t0 = monotonic_ns();
     {
         const WaiterGuard waiter(&control_waiters_);

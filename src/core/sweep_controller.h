@@ -211,6 +211,10 @@ class SweepController
     /** Serve a pending post-fork lazy respawn of the sweeper thread. */
     void ensure_sweeper();
 
+    /** maybe_pause() once the gate is shut: wait for the sweep to open
+        it, count the pause, then check the watchdog. */
+    void pause();
+
     Config config_;
     std::function<void()> sweep_fn_;
     StatCells* stats_;

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -45,6 +46,7 @@ wall_seconds()
 RssSampler::RssSampler(unsigned interval_ms)
     : interval_ms_(interval_ms), start_(wall_seconds())
 {
+    sample();
     thread_ = std::thread([this] { loop(); });
 }
 
@@ -54,32 +56,39 @@ RssSampler::~RssSampler()
 }
 
 void
+RssSampler::sample()
+{
+    const std::size_t rss = vm::current_rss_bytes();
+    MutexGuard g(mu_);
+    samples_.emplace_back(wall_seconds() - start_, rss);
+}
+
+void
 RssSampler::loop()
 {
-    // msw-relaxed(config-flag): shutdown poll; the join in stop()
-    // orders everything after the final iteration.
-    while (!stop_.load(std::memory_order_relaxed)) {
-        const std::size_t rss = vm::current_rss_bytes();
-        {
-            MutexGuard g(mu_);
-            samples_.emplace_back(wall_seconds() - start_, rss);
-        }
-        struct timespec ts {
-            0, static_cast<long>(interval_ms_) * 1000000
-        };
-        ::nanosleep(&ts, nullptr);
+    const auto period = std::chrono::milliseconds(interval_ms_);
+    UniqueLock g(mu_);
+    while (!stop_cv_.wait_for(g, period, [&]() MSW_REQUIRES(mu_) {
+        return stopping_;
+    })) {
+        g.unlock();
+        sample();
+        g.lock();
     }
 }
 
 void
 RssSampler::stop()
 {
-    if (thread_.joinable()) {
-        // msw-relaxed(config-flag): one-way latch; the join below is
-        // the synchronisation point.
-        stop_.store(true, std::memory_order_relaxed);
-        thread_.join();
+    if (!thread_.joinable())
+        return;
+    {
+        MutexGuard g(mu_);
+        stopping_ = true;
     }
+    stop_cv_.notify_all();
+    thread_.join();
+    sample();
 }
 
 std::size_t

@@ -16,7 +16,7 @@
  */
 #pragma once
 
-#include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -67,14 +67,18 @@ double process_cpu_seconds();
 /** Monotonic wall clock in seconds. */
 double wall_seconds();
 
-/** PSRecord-style background RSS sampler. */
+/**
+ * PSRecord-style background RSS sampler. The constructor and stop() each
+ * take a sample too, so even a run shorter than one interval has its
+ * first and last moment.
+ */
 class RssSampler
 {
   public:
     explicit RssSampler(unsigned interval_ms = 10);
     ~RssSampler();
 
-    /** Stop sampling (idempotent). */
+    /** Stop sampling (idempotent): wake the thread, join it, sample. */
     void stop();
 
     /** Mean of samples taken so far (bytes). */
@@ -88,6 +92,7 @@ class RssSampler
 
   private:
     void loop();
+    void sample();
 
     unsigned interval_ms_;
     double start_;
@@ -95,7 +100,8 @@ class RssSampler
     mutable Mutex mu_{util::LockRank::kMetrics};
     std::vector<std::pair<double, std::size_t>> samples_
         MSW_GUARDED_BY(mu_);
-    std::atomic<bool> stop_{false};
+    bool stopping_ MSW_GUARDED_BY(mu_) = false;
+    std::condition_variable_any stop_cv_;
     std::thread thread_;
 };
 

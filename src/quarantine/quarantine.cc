@@ -139,14 +139,19 @@ Quarantine::ThreadBuffer*
 Quarantine::get_buffer()
 {
     auto* buf = static_cast<ThreadBuffer*>(pthread_getspecific(buffer_key_));
-    if (buf != nullptr)
-        return buf;
+    return buf != nullptr ? buf : make_buffer();
+}
+
+// msw-analyze: slow-path(once per thread: creates the thread's buffer)
+Quarantine::ThreadBuffer*
+Quarantine::make_buffer()
+{
     const std::size_t bytes = align_up(
         ThreadBuffer::bytes_for(buffer_capacity_), vm::kPageSize);
     void* mem = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     MSW_CHECK(mem != MAP_FAILED);
-    buf = static_cast<ThreadBuffer*>(mem);
+    auto* buf = static_cast<ThreadBuffer*>(mem);
     // msw-relaxed(epoch-handoff): buffer not yet published; the
     // registry insert under the lock is what makes it visible.
     buf->owner.store(this, std::memory_order_relaxed);
@@ -269,12 +274,12 @@ Quarantine::insert(const Entry& entry)
     }
     ThreadBuffer* buf = get_buffer();
     buf->entries[buf->count++] = entry;
-    if (buf->count == buf->capacity) {
-        LockGuard g(lock_);
-        flush_buffer_locked(buf);
-    }
+    if (buf->count == buf->capacity)
+        flush_thread_buffer();
 }
 
+// msw-analyze: slow-path(one lock per full thread buffer, i.e. per
+// buffer_capacity frees, or per explicit flush)
 void
 Quarantine::flush_thread_buffer()
 {

@@ -79,7 +79,6 @@ struct QuarantineStats {
     std::size_t failed_bytes = 0;     ///< Failed frees awaiting re-test.
     std::size_t unmapped_bytes = 0;   ///< Unmapped quarantined bytes.
     std::uint64_t entries_added = 0;  ///< Total quarantined frees.
-    std::uint64_t double_frees = 0;   ///< Duplicates absorbed (by caller).
     std::uint64_t chunks_mapped = 0;  ///< Entry chunks ever mmap'd.
 };
 
@@ -196,6 +195,7 @@ class Quarantine
                   "a chunk fits in four 4 KiB pages");
 
     ThreadBuffer* get_buffer();
+    ThreadBuffer* make_buffer();
     void flush_buffer_locked(ThreadBuffer* buf) MSW_REQUIRES(lock_);
     static void buffer_destructor(void* arg);
 

@@ -37,17 +37,6 @@ SigsafeWriter::dec(std::uint64_t v)
 }
 
 void
-SigsafeWriter::sdec(std::int64_t v)
-{
-    std::uint64_t mag = static_cast<std::uint64_t>(v);
-    if (v < 0) {
-        put('-');
-        mag = ~mag + 1;  // two's complement negate; INT64_MIN-safe
-    }
-    dec(mag);
-}
-
-void
 SigsafeWriter::hex(std::uint64_t v)
 {
     static const char kHexDigits[] = "0123456789abcdef";

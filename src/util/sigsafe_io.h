@@ -45,9 +45,6 @@ class SigsafeWriter
     /** Append an unsigned decimal. */
     void dec(std::uint64_t v);
 
-    /** Append a signed decimal. */
-    void sdec(std::int64_t v);
-
     /** Append "0x" plus lowercase hex (no leading zeros, "0x0" for 0). */
     void hex(std::uint64_t v);
 

@@ -10,6 +10,7 @@
 #include "baselines/ffmalloc.h"
 #include "baselines/markus.h"
 #include "util/bits.h"
+#include "util/failpoint.h"
 #include "util/rng.h"
 
 namespace msw::baseline {
@@ -142,6 +143,23 @@ TEST_F(MarkUsTest, DoubleFreeAbsorbed)
     void* q = mu.alloc(64);
     ASSERT_NE(q, nullptr);
     mu.free(q);
+}
+
+// A grow the heap cannot serve returns nullptr once the out-of-memory
+// ladder is spent, and leaves the old block valid (the realloc contract).
+TEST_F(MarkUsTest, FailedReallocKeepsTheOldBlock)
+{
+    auto* p = static_cast<unsigned char*>(mu.alloc(64));
+    ASSERT_NE(p, nullptr);
+    std::memset(p, 0xa5, 64);
+    util::failpoint_arm(util::Failpoint::kExtentGrow,
+                        util::FailpointPolicy::prob(1.0));
+    void* q = mu.realloc(p, std::size_t{1} << 20);
+    util::failpoint_disarm_all();
+    EXPECT_EQ(q, nullptr);
+    for (int i = 0; i < 64; ++i)
+        ASSERT_EQ(p[i], 0xa5) << "byte " << i;
+    mu.free(p);
 }
 
 TEST_F(MarkUsTest, ChurnReleasesMemory)

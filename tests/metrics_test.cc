@@ -47,6 +47,17 @@ TEST(Sampler, ObservesAllocationGrowth)
     EXPECT_GE(sampler.series().size(), 2u);
 }
 
+// A run shorter than one interval still has a sample: the constructor
+// takes one before the thread starts and stop() one more.
+TEST(Sampler, StoppedAtOnceStillHasASample)
+{
+    RssSampler sampler(1000);
+    sampler.stop();
+    EXPECT_FALSE(sampler.series().empty());
+    EXPECT_GT(sampler.average(), 0u);
+    EXPECT_GT(sampler.peak(), 0u);
+}
+
 // Also the counter surface's fork-pipe leg: a distinct value in every
 // MSW_STAT_LIST slot arrives intact in the parent.
 TEST(Subprocess, ReturnsChildRecord)

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/minesweeper.h"
+#include "util/failpoint.h"
 #include "workload/executor.h"
 #include "workload/mimalloc_kernels.h"
 #include "workload/runner.h"
@@ -284,6 +285,27 @@ TEST(CounterSurface, SweepsCountReleasesScansAndFailedFrees)
         rt.force_sweep();
         EXPECT_GT(sys.counters()[metrics::Stat::kFailedFrees], 0u);
         rt.remove_root(&g_rooted_slot);
+    }
+}
+
+// Both quarantine runtimes run the one out-of-memory ladder and count
+// it: with heap growth failing, a 1 MiB allocation retries, sweeps and
+// purges before it returns nullptr.
+TEST(CounterSurface, OutOfMemoryLadderCountsOnBothRuntimes)
+{
+    for (const SystemKind kind :
+         {SystemKind::kMineSweeper, SystemKind::kMarkUs}) {
+        System sys = make_system(kind);
+        SCOPED_TRACE(sys.name);
+        util::failpoint_arm(util::Failpoint::kExtentGrow,
+                            util::FailpointPolicy::prob(1.0));
+        void* p = sys.allocator->alloc(std::size_t{1} << 20);
+        util::failpoint_disarm_all();
+        EXPECT_EQ(p, nullptr);
+        const metrics::StatSnapshot snap = sys.counters();
+        EXPECT_GT(snap[metrics::Stat::kEmergencySweeps], 0u);
+        EXPECT_GT(snap[metrics::Stat::kCommitRetries], 0u);
+        EXPECT_GT(snap[metrics::Stat::kOomReturns], 0u);
     }
 }
 

@@ -667,9 +667,10 @@ class Program:
             return self._virtual_lookup(ret, name) if ret else []
         if rkind == "unknown":
             return []
-        # bare: own class chain first, then any definition by name
+        # bare: own class chain first (a virtual member declared there
+        # dispatches to the overrides), then any definition by name
         if fn["qual"]:
-            hit = self._chain_lookup(fn["qual"], name)
+            hit = self._virtual_lookup(fn["qual"], name)
             if hit:
                 return hit
         return self.by_name.get(name, [])
