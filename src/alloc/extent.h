@@ -47,6 +47,9 @@ struct ExtentMeta {
 
     /** For kFree extents: when the extent was freed (ms, monotonic). */
     std::uint64_t freed_at_ms = 0;
+    /** For kFree extents: the purge epoch it was freed in (see
+        ExtentAllocator::purge_stale). */
+    std::uint64_t freed_in_epoch = 0;
 
     /** Requested byte size for kLarge (<= pages * kPageSize). */
     std::size_t large_size = 0;

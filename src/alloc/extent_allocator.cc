@@ -10,6 +10,26 @@
 
 namespace msw::alloc {
 
+namespace {
+
+/**
+ * Whether free extent @p neighbour may coalesce with free extent @p e.
+ * Mixed committed states are left unmerged: committing a purged
+ * neighbour would make sweeps fault its pages back in, and purging a hot
+ * committed extent would defeat decay. Committed extents merge only
+ * within one purge epoch, so a fresh free never lends its age to an
+ * older neighbour that purge_stale() is due to purge.
+ */
+bool
+coalescible(const ExtentMeta* neighbour, const ExtentMeta* e)
+{
+    return neighbour != nullptr && neighbour->kind == ExtentKind::kFree &&
+           neighbour->committed == e->committed &&
+           (!e->committed || neighbour->freed_in_epoch == e->freed_in_epoch);
+}
+
+}  // namespace
+
 std::uint64_t
 monotonic_ms()
 {
@@ -102,8 +122,33 @@ ExtentAllocator::mark_free_boundaries(ExtentMeta* e)
 void
 ExtentAllocator::insert_free(ExtentMeta* e)
 {
+    // Only decay reads the clock stamp; the post-sweep purge reads the
+    // epoch.
+    if (decay_ms_ != 0)
+        e->freed_at_ms = monotonic_ms();
+    e->freed_in_epoch = purge_epoch_;
+    link_free(e);
+}
+
+void
+ExtentAllocator::split_free(const ExtentMeta* from, std::uintptr_t base,
+                            std::size_t pages)
+{
+    ExtentMeta* piece = meta_pool_.alloc();
+    piece->base = base;
+    piece->pages = pages;
+    // committed_bytes_ is unchanged by splits: both pieces inherit the
+    // committed state, and the age, so a split never resets decay.
+    piece->committed = from->committed;
+    piece->freed_at_ms = from->freed_at_ms;
+    piece->freed_in_epoch = from->freed_in_epoch;
+    link_free(piece);
+}
+
+void
+ExtentAllocator::link_free(ExtentMeta* e)
+{
     e->kind = ExtentKind::kFree;
-    e->freed_at_ms = monotonic_ms();
     free_buckets_[bucket_for(e->pages)].push_front(e);
     mark_free_boundaries(e);
 }
@@ -127,22 +172,21 @@ ExtentAllocator::ensure_committed(ExtentMeta* e)
     return true;
 }
 
-void
+bool
 ExtentAllocator::purge_extent(ExtentMeta* e)
 {
-    MSW_DCHECK(e->kind == ExtentKind::kFree);
-    if (e->committed) {
-        if (!hooks_->purge(e->base, e->bytes())) {
-            // Purge failed under pressure: keep the pages accounted as
-            // committed (they still have backing) and let the next decay
-            // pass retry.
-            return;
-        }
-        e->committed = false;
-        MSW_DCHECK(committed_bytes_ >= e->bytes());
-        committed_bytes_ -= e->bytes();
-        ++purge_count_;
+    MSW_DCHECK(e->kind == ExtentKind::kFree && e->committed);
+    if (!hooks_->purge(e->base, e->bytes())) {
+        // Purge failed under pressure: keep the pages accounted as
+        // committed (they still have backing) and let the next decay
+        // pass retry.
+        return false;
     }
+    e->committed = false;
+    MSW_DCHECK(committed_bytes_ >= e->bytes());
+    committed_bytes_ -= e->bytes();
+    ++purge_count_;
+    return true;
 }
 
 ExtentMeta*
@@ -161,22 +205,13 @@ ExtentAllocator::take_free_extent(std::size_t pages, std::size_t align_pages)
             free_buckets_[b].remove(e);
             unmap_extent_range(e);
             if (aligned > e->base) {
-                ExtentMeta* head = meta_pool_.alloc();
-                head->base = e->base;
-                head->pages = (aligned - e->base) >> vm::kPageShift;
-                // committed_bytes_ is unchanged by splits: both pieces
-                // inherit the committed state.
-                head->committed = e->committed;
-                insert_free(head);
+                const std::size_t head = (aligned - e->base) >> vm::kPageShift;
+                split_free(e, e->base, head);
                 e->base = aligned;
-                e->pages -= head->pages;
+                e->pages -= head;
             }
             if (e->pages > pages) {
-                ExtentMeta* tail = meta_pool_.alloc();
-                tail->base = e->base + want_bytes;
-                tail->pages = e->pages - pages;
-                tail->committed = e->committed;
-                insert_free(tail);
+                split_free(e, e->base + want_bytes, e->pages - pages);
                 e->pages = pages;
             }
             return e;
@@ -275,15 +310,14 @@ ExtentAllocator::free_extent_locked(ExtentMeta* e)
     unmap_extent_range(e);
     e->kind = ExtentKind::kFree;
 
-    // Coalesce with free neighbours of the same committed state. Mixed
-    // states are left unmerged: committing a purged neighbour would make
-    // sweeps fault its pages back in, and purging a hot committed extent
-    // would defeat decay. The post-purge pass merges them later.
+    // Coalesce with the free neighbours coalescible() allows (it compares
+    // epochs, so stamp e's first); the purge pass merges the others once
+    // they are purged.
+    e->freed_in_epoch = purge_epoch_;
     const std::size_t first = page_index(e->base);
     if (first > 0) {
         ExtentMeta* left = page_map_[first - 1];
-        if (left != nullptr && left->kind == ExtentKind::kFree &&
-            left->committed == e->committed) {
+        if (coalescible(left, e)) {
             remove_free(left);
             unmap_extent_range(left);  // clears its two boundary entries
             e->base = left->base;
@@ -294,8 +328,7 @@ ExtentAllocator::free_extent_locked(ExtentMeta* e)
     const std::size_t last_next = page_index(e->base) + e->pages;
     if (last_next < frontier_pages_) {
         ExtentMeta* right = page_map_[last_next];
-        if (right != nullptr && right->kind == ExtentKind::kFree &&
-            right->committed == e->committed) {
+        if (coalescible(right, e)) {
             remove_free(right);
             unmap_extent_range(right);
             e->pages += right->pages;
@@ -308,7 +341,9 @@ ExtentAllocator::free_extent_locked(ExtentMeta* e)
         const std::uint64_t now = monotonic_ms();
         if (now - last_decay_check_ms_ >= 250) {
             last_decay_check_ms_ = now;
-            decay_pass_locked(now);
+            decay_pass_locked([&](const ExtentMeta* f) {
+                return now - f->freed_at_ms >= decay_ms_;
+            });
         }
     }
 }
@@ -330,34 +365,45 @@ void
 ExtentAllocator::decay_tick()
 {
     LockGuard g(lock_);
-    decay_pass_locked(monotonic_ms());
+    const std::uint64_t now = monotonic_ms();
+    decay_pass_locked([&](const ExtentMeta* e) {
+        return now - e->freed_at_ms >= decay_ms_;
+    });
 }
 
 void
 ExtentAllocator::purge_all()
 {
     LockGuard g(lock_);
-    decay_pass_locked(UINT64_MAX);
+    decay_pass_locked([](const ExtentMeta*) { return true; });
 }
 
 void
-ExtentAllocator::decay_pass_locked(std::uint64_t now)
+ExtentAllocator::purge_stale()
 {
-    // Purge committed free extents past the decay deadline, merging
-    // newly-purged extents with purged neighbours as we go.
+    LockGuard g(lock_);
+    const std::uint64_t epoch = purge_epoch_;
+    decay_pass_locked(
+        [epoch](const ExtentMeta* e) { return e->freed_in_epoch != epoch; });
+    ++purge_epoch_;
+}
+
+template <typename Stale>
+void
+ExtentAllocator::decay_pass_locked(Stale stale)
+{
+    // Purge the stale committed free extents, merging each purged one
+    // with purged neighbours as we go. A failed purge leaves the extent
+    // committed and unmerged for the next pass to retry.
     for (unsigned b = 0; b < kNumBuckets; ++b) {
         ExtentMeta* e = free_buckets_[b].head();
         while (e != nullptr) {
             ExtentMeta* next = e->next;
-            if (e->committed &&
-                (now == UINT64_MAX || now - e->freed_at_ms >= decay_ms_)) {
-                purge_extent(e);
-                // Merge with purged free neighbours.
+            if (e->committed && stale(e) && purge_extent(e)) {
                 const std::size_t first = page_index(e->base);
                 if (first > 0) {
                     ExtentMeta* left = page_map_[first - 1];
-                    if (left != nullptr && left != e &&
-                        left->kind == ExtentKind::kFree && !left->committed) {
+                    if (left != e && coalescible(left, e)) {
                         if (next == left)
                             next = left->next;
                         remove_free(left);
@@ -367,15 +413,13 @@ ExtentAllocator::decay_pass_locked(std::uint64_t now)
                         e->base = left->base;
                         e->pages += left->pages;
                         meta_pool_.free(left);
-                        insert_free(e);
+                        link_free(e);
                     }
                 }
                 const std::size_t after = page_index(e->base) + e->pages;
                 if (after < frontier_pages_) {
                     ExtentMeta* right = page_map_[after];
-                    if (right != nullptr && right != e &&
-                        right->kind == ExtentKind::kFree &&
-                        !right->committed) {
+                    if (right != e && coalescible(right, e)) {
                         if (next == right)
                             next = right->next;
                         remove_free(right);
@@ -384,7 +428,7 @@ ExtentAllocator::decay_pass_locked(std::uint64_t now)
                         unmap_extent_range(e);
                         e->pages += right->pages;
                         meta_pool_.free(right);
-                        insert_free(e);
+                        link_free(e);
                     }
                 }
             }

@@ -10,8 +10,8 @@
  *  - maintain the page map (page index -> ExtentMeta*) used for interior
  *    pointer lookup;
  *  - decay-purge free extents through the ExtentHooks (jemalloc's ~10 s
- *    decay, which MineSweeper retargets to "full purge after every sweep",
- *    paper §4.5).
+ *    decay, which MineSweeper retargets to a purge after every sweep,
+ *    paper §4.5, of what a whole epoch left unused: purge_stale()).
  *
  * All free-list state is intrusive (inside ExtentMeta), so this layer
  * performs no internal malloc — a requirement for the LD_PRELOAD shim.
@@ -81,8 +81,8 @@ class ExtentAllocator
      * Return an extent whose pages the caller has already decommitted
      * (discarded and inaccessible, as the purge hook leaves them). It
      * rejoins the free lists uncommitted: committed bytes drop by its
-     * size, it coalesces with uncommitted neighbours, purge_all() has
-     * nothing left to do for it, and reuse commits it through the
+     * size, it coalesces with uncommitted neighbours, no purge has
+     * anything left to do for it, and reuse commits it through the
      * commit hook.
      */
     void free_extent_decommitted(ExtentMeta* e);
@@ -148,8 +148,20 @@ class ExtentAllocator
     /** Purge free extents older than the decay deadline. */
     void decay_tick();
 
-    /** Purge every committed free extent immediately (post-sweep purge). */
+    /** Purge every committed free extent immediately (the out-of-memory
+        ladder's purge). */
     void purge_all();
+
+    /**
+     * Purge every committed free extent that was already free at the
+     * previous purge_stale() call, then open a new purge epoch (the
+     * post-sweep purge). Extents freed since that call stay committed
+     * for one epoch, so a slab a sweep empties is not decommitted only
+     * for the mutator to recommit it; the next call purges it if it is
+     * still unused. Committed free bytes that survive a call are thus
+     * bounded by the bytes freed in the epoch it closes.
+     */
+    void purge_stale();
 
     ExtentStats stats() const;
 
@@ -201,15 +213,25 @@ class ExtentAllocator
     // All private helpers expect lock_ held.
     ExtentMeta* take_free_extent(std::size_t pages, std::size_t align_pages)
         MSW_REQUIRES(lock_);
+    /** Stamp @p e freed now and in the current epoch, then link it. */
     void insert_free(ExtentMeta* e) MSW_REQUIRES(lock_);
+    /** Split @p pages pages at @p base off free extent @p from as a new
+        free extent with @p from's committed state and age. */
+    void split_free(const ExtentMeta* from, std::uintptr_t base,
+                    std::size_t pages) MSW_REQUIRES(lock_);
+    /** Put free extent @p e on its bucket and mark its boundary pages. */
+    void link_free(ExtentMeta* e) MSW_REQUIRES(lock_);
     void remove_free(ExtentMeta* e) MSW_REQUIRES(lock_);
     void map_extent(ExtentMeta* e) MSW_REQUIRES(lock_);
     void unmap_extent_range(ExtentMeta* e) MSW_REQUIRES(lock_);
     void mark_free_boundaries(ExtentMeta* e) MSW_REQUIRES(lock_);
     void free_extent_locked(ExtentMeta* e) MSW_REQUIRES(lock_);
     [[nodiscard]] bool ensure_committed(ExtentMeta* e) MSW_REQUIRES(lock_);
-    void purge_extent(ExtentMeta* e) MSW_REQUIRES(lock_);
-    void decay_pass_locked(std::uint64_t now) MSW_REQUIRES(lock_);
+    [[nodiscard]] bool purge_extent(ExtentMeta* e) MSW_REQUIRES(lock_);
+    /** Purge each committed free extent for which @p stale(e) holds,
+        merging it with purged free neighbours. */
+    template <typename Stale>
+    void decay_pass_locked(Stale stale) MSW_REQUIRES(lock_);
 
     std::size_t page_index(std::uintptr_t addr) const;
 
@@ -232,6 +254,8 @@ class ExtentAllocator
 
     std::uint64_t decay_ms_;
     std::uint64_t last_decay_check_ms_ MSW_GUARDED_BY(lock_) = 0;
+    /** Opened by each purge_stale(); stamped on every freed extent. */
+    std::uint64_t purge_epoch_ MSW_GUARDED_BY(lock_) = 0;
 
     std::size_t committed_bytes_ MSW_GUARDED_BY(lock_) = 0;
     std::size_t active_bytes_ MSW_GUARDED_BY(lock_) = 0;

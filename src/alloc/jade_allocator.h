@@ -10,8 +10,8 @@
  *  - size-class slab allocation with per-thread caches;
  *  - an extent-hook API (commit/purge) MineSweeper overrides to implement
  *    decommit/commit page tracking (paper §4.5);
- *  - decay purging of free extents, plus purge_all() for the post-sweep
- *    full purge.
+ *  - decay purging of free extents, plus purge_stale() for the
+ *    post-sweep purge and purge_all() for the out-of-memory ladder.
  *
  * Thread-safety: fully thread-safe. Each thread gets a thread cache
  * (mmap-backed, no internal malloc) flushed on thread exit.
@@ -144,11 +144,19 @@ class JadeAllocator final : public Allocator
     /** The resolved allocation policy this instance runs under. */
     const AllocPolicy& policy() const { return *policy_; }
 
-    /** Purge all free extents now (MineSweeper's post-sweep purge). */
+    /** Purge all free extents now (the out-of-memory ladder's purge). */
     void
     purge_all()
     {
         extents_.purge_all();
+    }
+
+    /** Purge the free extents the last epoch left unused, and open a new
+        epoch (the post-sweep purge; see ExtentAllocator::purge_stale). */
+    void
+    purge_stale()
+    {
+        extents_.purge_stale();
     }
 
     std::size_t

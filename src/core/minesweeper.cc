@@ -249,7 +249,7 @@ MineSweeper::run_sweep()
 
     const std::uint64_t helpers1 =
         workers_ != nullptr ? workers_->helper_cpu_ns() : 0;
-    // §4.5: full allocator purge synchronised with the end of the sweep.
+    // §4.5: allocator purge synchronised with the end of the sweep.
     close_sweep(std::move(failed), purge_,
                 {sum.released, sum.released_bytes, sum.failed_count},
                 helpers1 - helpers0);

@@ -55,7 +55,8 @@ struct Options {
     /** Release physical pages of large quarantined allocations (§4.2). */
     bool unmapping = true;
 
-    /** Full allocator purge after every sweep (§4.5). */
+    /** Allocator purge after every sweep (§4.5) of the free extents the
+        last epoch left unused. */
     bool purging = true;
 
     /** Helper sweep threads in addition to the main sweeper (§4.4). */

@@ -172,8 +172,8 @@ Reclaimer::release_entries(const Entry* entries, std::size_t n,
         const Entry& e = entries[i];
         if (e.unmapped && !access_map_->test(e.real_base())) {
             // Decommitted at free or at the deferred drain: hand the
-            // range back in that state. Reuse commits it; purge_all()
-            // has nothing left to do for it.
+            // range back in that state. Reuse commits it; the post-sweep
+            // purge has nothing left to do for it.
             quarantine_bitmap_->clear(e.real_base());
             jade_->free_decommitted(to_ptr(e.real_base()));
         } else {

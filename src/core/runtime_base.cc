@@ -67,6 +67,7 @@ class QuarantineRuntime::Hooks final : public alloc::ExtentHooks
             return false;
         }
         owner_->access_map_.set_range(addr, len);
+        owner_->stats_.add(Stat::kPagesCommitted, len >> vm::kPageShift);
         // Pages appearing mid-epoch must be treated as dirty.
         if (owner_->tracker_ != nullptr &&
             owner_->reclaimer_.scan_active()) {
@@ -86,6 +87,7 @@ class QuarantineRuntime::Hooks final : public alloc::ExtentHooks
             return false;
         }
         owner_->access_map_.clear_range(addr, len);
+        owner_->stats_.add(Stat::kPagesPurged, len >> vm::kPageShift);
         return true;
     }
 
@@ -98,7 +100,7 @@ QuarantineRuntime::QuarantineRuntime(const Config& config,
     : config_([&] {
           Config c = config;
           // Quarantine runtimes replace decay purging with the post-sweep
-          // full purge (§4.5); leaving decay on would purge behind the
+          // purge (§4.5); leaving decay on would purge behind the
           // page-access map's back from unhooked call sites.
           c.jade.decay_ms = 0;
           // Resolve the allocation policy exactly once, here, and hand
@@ -534,8 +536,10 @@ QuarantineRuntime::close_sweep(std::vector<Entry> failed, bool purge,
     mark_bits_.clear_marks();
     quarantine_.store_failed(std::move(failed));
     reclaimer_.end_scan();
+    // Purge what a whole epoch left unused, not what this release just
+    // emptied: the mutator would recommit those slabs within the epoch.
     if (purge)
-        jade_.purge_all();
+        jade_.purge_stale();
     stats_.add(Stat::kEntriesReleased, tally.entries);
     stats_.add(Stat::kBytesReleased, tally.bytes);
     stats_.add(Stat::kFailedFrees, tally.failed);

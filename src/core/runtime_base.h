@@ -226,8 +226,8 @@ class QuarantineRuntime : public RuntimeBase
     };
 
     /** Clear the marks, keep @p failed quarantined, end the epoch, purge
-        if @p purge, then count @p tally and the pass's CPU
-        (+ @p helper_cpu_ns). */
+        what the last epoch left unused if @p purge, then count @p tally
+        and the pass's CPU (+ @p helper_cpu_ns). */
     void close_sweep(std::vector<quarantine::Entry> failed, bool purge,
                      const SweepTally& tally, std::uint64_t helper_cpu_ns);
 

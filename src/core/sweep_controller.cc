@@ -85,6 +85,12 @@ SweepController::shutdown()
     {
         MutexGuard g(sweep_mu_);
         shutdown_ = true;
+        // No sweep serves a request from here on, so none is pending:
+        // every later request_sweep() takes the locked path, which leaves
+        // the waiter drain below the gaps between control calls it needs.
+        // msw-relaxed(sweeper-token): mirror of sweep_requested_, as in
+        // request_sweep().
+        request_pending_.store(false, std::memory_order_relaxed);
     }
     // Wake everything: the sweeper (to exit) and any force_sweep()/
     // wait_idle()/pause waiters (their predicates include shutdown_).
@@ -178,6 +184,8 @@ SweepController::child_after_fork() MSW_NO_THREAD_SAFETY_ANALYSIS
         watchdog_tripped_.store(false, std::memory_order_relaxed);
         // msw-relaxed(fork-window): as above — single-threaded child.
         pause_flag_.store(false, std::memory_order_relaxed);
+        // msw-relaxed(fork-window): as above — single-threaded child.
+        request_pending_.store(false, std::memory_order_relaxed);
         sweep_in_progress_.store(false, std::memory_order_release);
         control_waiters_.store(0, std::memory_order_release);
         // condition_variable_any keeps an internal heap mutex that
@@ -273,10 +281,24 @@ SweepController::request_sweep(bool pause_allocations)
         run_sweep_now();
         return;
     }
+    // Past the trigger, every free asks again until the sweep claims the
+    // request: while one is pending (and the gate is already shut when
+    // this one would shut it), posting it again changes nothing.
+    // msw-relaxed(sweeper-token): advisory peek; a stale "pending" is a
+    // request the sweep that cleared it has not locked in yet, and the
+    // next free past the trigger asks again.
+    if (request_pending_.load(std::memory_order_relaxed) &&
+        (!pause_allocations || pause_flag_.load(std::memory_order_relaxed))) {
+        check_watchdog();
+        return;
+    }
     ensure_sweeper();
     {
         MutexGuard g(sweep_mu_);
         sweep_requested_ = true;
+        // msw-relaxed(sweeper-token): mirror of sweep_requested_, written
+        // under sweep_mu_ with it; only request_sweep() peeks unlocked.
+        request_pending_.store(!shutdown_, std::memory_order_relaxed);
         // Watchdog heartbeat: stamp the oldest unserved request (the
         // sweep that claims it clears this).
         // msw-relaxed(sweeper-token): stamped under sweep_mu_; the
@@ -315,6 +337,9 @@ SweepController::execute_sweep(Runner runner)
             return false;
         }
         sweep_requested_ = false;
+        // msw-relaxed(sweeper-token): mirror of sweep_requested_, as in
+        // request_sweep().
+        request_pending_.store(false, std::memory_order_relaxed);
         ++sweeps_started_;
         // msw-relaxed(sweeper-token): heartbeat clear under sweep_mu_;
         // the unlocked watchdog read tolerates one period of staleness.

@@ -226,6 +226,9 @@ class SweepController
     std::condition_variable_any sweep_cv_;
     std::condition_variable_any sweep_done_cv_;
     bool sweep_requested_ MSW_GUARDED_BY(sweep_mu_) = false;
+    /** sweep_requested_, mirrored for request_sweep()'s unlocked check
+     *  for a request already pending. Written only with sweep_mu_ held. */
+    std::atomic<bool> request_pending_{false};
     /** Start ticket: sweeps begun, so force_sweep() can wait for one that
      *  started after its call rather than for an in-flight one whose mark
      *  phase may predate the caller's changes. */

@@ -51,6 +51,11 @@
     X(kCanaryViolations, canary_violations, kEvent) /* tampering seen */ \
     X(kSweepFillChecks, sweep_fill_checks, kEvent) /* release audits */  \
     X(kReleaseShuffles, release_shuffles, kEvent) /* shuffled batches */ \
+    /* Purge integration (MineSweeper, MarkUs): pages through the extent \
+       hooks, i.e. mprotect(RW) commits and post-sweep or emergency     \
+       decommits (§4.5). */                                              \
+    X(kPagesCommitted, pages_committed, kEvent)                          \
+    X(kPagesPurged, pages_purged, kEvent)                                \
     /* Byte gauges (FFMalloc): exact under summation. */                 \
     X(kLiveBytes, live_bytes, kGauge)                                    \
     X(kCommittedBytes, committed_bytes, kGauge)

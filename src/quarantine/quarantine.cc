@@ -2,6 +2,7 @@
 
 #include <sys/mman.h>
 
+#include <algorithm>
 #include <cstring>
 #include <ctime>
 
@@ -86,7 +87,8 @@ Quarantine::append_locked(EntryChunk** head, const Entry& entry)
 
 Quarantine::Quarantine(std::size_t tl_buffer_entries,
                        ReleaseOrderFn release_order, void* release_order_ctx)
-    : buffer_capacity_(tl_buffer_entries > 0 ? tl_buffer_entries : 1),
+    : buffer_capacity_(static_cast<std::uint32_t>(
+          std::clamp<std::size_t>(tl_buffer_entries, 1, UINT32_MAX))),
       release_order_(release_order),
       release_order_ctx_(release_order_ctx)
 {
@@ -320,6 +322,7 @@ Quarantine::lock_in(std::vector<Entry>& out)
     std::size_t failed_mapped = 0;
     std::size_t unmapped = 0;
     EntryChunk* taken = nullptr;  // both lists, relinked for the pool
+    std::size_t taken_chunks = 0;
     auto copy_out = [&](EntryChunk* list, std::size_t* mapped_bytes) {
         while (list != nullptr) {
             EntryChunk* next = list->next;
@@ -333,6 +336,7 @@ Quarantine::lock_in(std::vector<Entry>& out)
             }
             list->next = taken;
             taken = list;
+            ++taken_chunks;
             list = next;
         }
     };
@@ -340,12 +344,25 @@ Quarantine::lock_in(std::vector<Entry>& out)
     copy_out(taken_failed, &failed_mapped);
 
     // Pool the emptied chunks for the next epoch and store_failed(). The
-    // spares keep at most as many chunks as this lock-in took: the ones
-    // the last epoch left unused are the excess, unmapped outside lock_.
+    // spares keep as many chunks as the larger of this lock-in and the
+    // one before took, so epochs that alternate small and large map
+    // nothing; the rest of what the last epoch left unused is the
+    // excess, unmapped outside lock_.
     EntryChunk* excess = nullptr;
     {
         LockGuard g(lock_);
+        const std::size_t keep =
+            std::max<std::size_t>(taken_chunks, last_taken_chunks_);
+        last_taken_chunks_ = static_cast<std::uint32_t>(
+            std::min<std::size_t>(taken_chunks, UINT32_MAX));
         excess = spare_;
+        for (std::size_t n = taken_chunks; n < keep && excess != nullptr;
+             ++n) {
+            EntryChunk* chunk = excess;
+            excess = chunk->next;
+            chunk->next = taken;
+            taken = chunk;
+        }
         spare_ = taken;
     }
     chunk_free_list(excess);

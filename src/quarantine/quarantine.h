@@ -207,7 +207,13 @@ class Quarantine
     void append_locked(EntryChunk** head, const Entry& entry)
         MSW_REQUIRES(lock_);
 
-    const std::size_t buffer_capacity_;
+    // Two 32-bit fields in the one 8-byte slot: a larger Quarantine
+    // shifts every QuarantineRuntime member after it, and a shift of 8
+    // bytes raised perfbench bulk's op p50 by about 9 % on a 4-vCPU VM.
+    const std::uint32_t buffer_capacity_;
+    /** Chunks the previous lock_in() took: with the current lock-in's,
+        the cap on spare_. */
+    std::uint32_t last_taken_chunks_ MSW_GUARDED_BY(lock_) = 0;
     const ReleaseOrderFn release_order_;
     void* const release_order_ctx_;
     pthread_key_t buffer_key_{};

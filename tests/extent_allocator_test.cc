@@ -254,6 +254,98 @@ TEST(ExtentHooksTest, DecommittedFreeStaysUncommittedAndMerges)
     p[pages(6)] = 1;  // writable again
 }
 
+// The post-sweep purge, purge_stale(), purges only what was already free
+// at the previous call: an extent freed within an epoch stays committed
+// through the call that closes it, and reuse in between commits nothing.
+TEST(ExtentHooksTest, PurgeStaleSparesWhatTheClosingEpochFreed)
+{
+    ExtentAllocator ea(kHeapBytes, 0);
+    HookRecorder hooks(&ea.reservation());
+    ea.set_hooks(&hooks);
+    const auto pages = [](std::size_t n) { return n * vm::kPageSize; };
+    ExtentMeta* a = ea.alloc_extent(4, ExtentKind::kLarge);
+    ExtentMeta* guard = ea.alloc_extent(1, ExtentKind::kLarge);
+    ASSERT_EQ(guard->base, a->end());
+    const std::uintptr_t base = a->base;
+
+    ea.free_extent(a);
+    ea.purge_stale();
+    EXPECT_EQ(hooks.purges, 0) << "an extent freed this epoch was purged";
+    EXPECT_EQ(ea.stats().committed_bytes, pages(5));
+
+    // Reused within the next epoch: no commit, nothing left to purge.
+    ExtentMeta* b = ea.alloc_extent(4, ExtentKind::kLarge);
+    EXPECT_EQ(b->base, base);
+    EXPECT_EQ(hooks.commits, 2);
+    ea.free_extent(b);
+    ea.purge_stale();
+    EXPECT_EQ(hooks.purges, 0) << "freed again this epoch: still fresh";
+
+    // A whole epoch unused: the next call purges it.
+    ea.purge_stale();
+    EXPECT_EQ(hooks.purges, 1);
+    EXPECT_EQ(ea.stats().committed_bytes, pages(1));
+
+    // purge_all() still purges every committed free extent, fresh or not.
+    ExtentMeta* c = ea.alloc_extent(2, ExtentKind::kLarge);
+    ea.free_extent(c);
+    ea.purge_all();
+    EXPECT_EQ(hooks.purges, 2);
+    EXPECT_EQ(ea.stats().committed_bytes, pages(1));
+}
+
+TEST(ExtentHooksTest, FreshFreeKeepsApartFromAStaleNeighbour)
+{
+    ExtentAllocator ea(kHeapBytes, 0);
+    HookRecorder hooks(&ea.reservation());
+    ea.set_hooks(&hooks);
+    const auto pages = [](std::size_t n) { return n * vm::kPageSize; };
+    ExtentMeta* a = ea.alloc_extent(4, ExtentKind::kLarge);
+    ExtentMeta* b = ea.alloc_extent(8, ExtentKind::kLarge);
+    ExtentMeta* guard = ea.alloc_extent(1, ExtentKind::kLarge);
+    ASSERT_EQ(b->base, a->end());
+    ASSERT_EQ(guard->base, b->end());
+    const std::uintptr_t base = a->base;
+
+    ea.free_extent(a);
+    ea.purge_stale();  // a survives: freed in the epoch this closes
+    // b is freed in the next epoch. Merged into a, it would keep a's
+    // pages committed for another epoch; kept apart, a goes on time.
+    ea.free_extent(b);
+    ea.purge_stale();
+    EXPECT_EQ(hooks.purges, 1);
+    EXPECT_EQ(ea.stats().committed_bytes, pages(9));
+    ea.purge_stale();
+    EXPECT_EQ(hooks.purges, 2);
+    EXPECT_EQ(ea.stats().committed_bytes, pages(1));
+
+    // Both purged, they merged into one uncommitted 12-page hole.
+    ExtentMeta* d = ea.alloc_extent(12, ExtentKind::kLarge);
+    EXPECT_EQ(d->base, base);
+}
+
+TEST(ExtentHooksTest, SplitKeepsTheFreeExtentsAge)
+{
+    ExtentAllocator ea(kHeapBytes, 0);
+    HookRecorder hooks(&ea.reservation());
+    ea.set_hooks(&hooks);
+    const auto pages = [](std::size_t n) { return n * vm::kPageSize; };
+    ExtentMeta* a = ea.alloc_extent(8, ExtentKind::kLarge);
+    ExtentMeta* guard = ea.alloc_extent(1, ExtentKind::kLarge);
+    ASSERT_EQ(guard->base, a->end());
+
+    ea.free_extent(a);
+    ea.purge_stale();
+    // Two pages of a are reused; the six-page remainder is as old as a,
+    // so the next call purges it rather than granting it a new epoch.
+    ExtentMeta* b = ea.alloc_extent(2, ExtentKind::kLarge);
+    ASSERT_NE(b, nullptr);
+    EXPECT_EQ(hooks.commits, 2);
+    ea.purge_stale();
+    EXPECT_EQ(hooks.purges, 1);
+    EXPECT_EQ(ea.stats().committed_bytes, pages(3));
+}
+
 TEST(ExtentDecayTest, DecayPurgesOldFreeExtents)
 {
     ExtentAllocator ea(kHeapBytes, /*decay_ms=*/1);

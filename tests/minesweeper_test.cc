@@ -20,6 +20,25 @@
 #include "core/minesweeper.h"
 #include "util/rng.h"
 
+#if defined(__SANITIZE_ADDRESS__)
+#define MSW_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define MSW_TEST_ASAN 1
+#endif
+#endif
+
+#ifdef MSW_TEST_ASAN
+// Forked probes here fault on purpose (use-after-free through unmapped
+// quarantine pages) and must die by SIGSEGV: ASan's own SEGV handler
+// would report the fault and exit instead. ASAN_OPTIONS still overrides.
+extern "C" const char*
+__asan_default_options()
+{
+    return "handle_segv=0:allow_user_segv_handler=1";
+}
+#endif
+
 namespace msw::core {
 namespace {
 

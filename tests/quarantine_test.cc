@@ -224,7 +224,7 @@ TEST(QuarantinePool, SteadyLoadMapsNoNewChunks)
     EXPECT_EQ(set.size(), 1500u) << "only the carried failed frees remain";
 }
 
-TEST(QuarantinePool, SparesNeverExceedTheLastLockIn)
+TEST(QuarantinePool, SparesNeverExceedTheLargerOfTheLastTwoLockIns)
 {
     Quarantine q(64);
     std::vector<Entry> set;
@@ -233,19 +233,48 @@ TEST(QuarantinePool, SparesNeverExceedTheLastLockIn)
     ASSERT_EQ(set.size(), 10 * kChunk);
     EXPECT_EQ(q.stats().chunks_mapped, 10u);
 
-    // A one-chunk epoch reuses a spare; its lock-in caps the spares at
-    // the one chunk it took and unmaps the other nine.
+    // A one-chunk epoch reuses a spare; the ten-chunk lock-in before it
+    // still caps the spares, so all ten stay pooled.
     insert_n(q, kChunk);
     q.lock_in(set);
     ASSERT_EQ(set.size(), kChunk);
     EXPECT_EQ(q.stats().chunks_mapped, 10u);
 
+    // A second one-chunk epoch: the last two lock-ins took one chunk
+    // each, so the spares shrink to one and the other nine are unmapped.
+    insert_n(q, kChunk);
+    q.lock_in(set);
+    ASSERT_EQ(set.size(), kChunk);
+
     // Ten chunks' worth again: one comes from the spares, nine are new.
     insert_n(q, 10 * kChunk);
     EXPECT_EQ(q.stats().chunks_mapped, 19u)
-        << "the spare list held more chunks than the last lock-in took";
+        << "the spare list held more chunks than the last two lock-ins "
+           "took";
     q.lock_in(set);
     EXPECT_EQ(set.size(), 10 * kChunk);
+}
+
+TEST(QuarantinePool, AlternatingEpochsMapNoChunks)
+{
+    // Sweeps that alternate a small and a large epoch, as a server's
+    // bursty load does: the large epoch's chunks survive the small
+    // epoch's lock-in, so a warm quarantine maps nothing.
+    Quarantine q(64);
+    std::vector<Entry> set;
+    auto two_epochs = [&] {
+        insert_n(q, kChunk / 2);
+        q.lock_in(set);
+        insert_n(q, 6 * kChunk);
+        q.lock_in(set);
+    };
+    two_epochs();
+    const std::uint64_t warm = q.stats().chunks_mapped;
+    EXPECT_EQ(warm, 6u);
+    for (int i = 0; i < 10; ++i)
+        two_epochs();
+    EXPECT_EQ(q.stats().chunks_mapped, warm)
+        << "a small epoch's lock-in unmapped the large epoch's chunks";
 }
 
 TEST(QuarantinePool, StoreFailedDrawsFromSpares)

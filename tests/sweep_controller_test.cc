@@ -152,6 +152,35 @@ TEST(SweepControllerTest, PauseGateReleasedBySweepCompletion)
     ctl.maybe_pause();
 }
 
+TEST(SweepControllerTest, PausedRequestOverAPendingOneShutsTheGate)
+{
+    // request_sweep() skips re-posting a request that is already
+    // pending, but not when this one asks for a pause the pending one
+    // did not: the gate must still shut.
+    StatCells stats;
+    SweepController ctl(SweepController::Config{}, [] {}, &stats);
+    ctl.start();
+
+    // A stalled sweeper leaves the first request pending.
+    util::failpoint_arm(Failpoint::kSweeperStall, FailpointPolicy::prob(1.0));
+    ctl.request_sweep(/*pause_allocations=*/false);
+    ctl.request_sweep(/*pause_allocations=*/true);
+    constexpr auto kStall = std::chrono::milliseconds(30);
+    std::thread unstall([&] {
+        std::this_thread::sleep_for(kStall);
+        util::failpoint_disarm(Failpoint::kSweeperStall);
+    });
+    // Shut, the gate holds this thread until the sweeper serves the
+    // request, which it can only do once the stall is lifted.
+    ctl.maybe_pause();
+    unstall.join();
+    EXPECT_GE(stats.read(Stat::kPauseNs),
+              std::uint64_t{std::chrono::nanoseconds(kStall).count()} / 2)
+        << "the paused request did not shut the gate";
+    ctl.wait_idle();
+    EXPECT_GE(ctl.sweeps_done(), 1u);
+}
+
 TEST(SweepControllerTest, ForceSweepWaitsForASweepStartedAfterTheCall)
 {
     // A sweep already in flight when force_sweep() is called may have

@@ -2,6 +2,8 @@
 // system factory, SPEC profile tables, and stress-kernel smoke runs.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/minesweeper.h"
 #include "util/failpoint.h"
 #include "workload/executor.h"
@@ -285,6 +287,54 @@ TEST(CounterSurface, SweepsCountReleasesScansAndFailedFrees)
         rt.force_sweep();
         EXPECT_GT(sys.counters()[metrics::Stat::kFailedFrees], 0u);
         rt.remove_root(&g_rooted_slot);
+    }
+}
+
+// The post-sweep purge counts through the commit and purge hooks, for
+// both quarantine runtimes: the slabs a sweep's release empties stay
+// committed through that sweep's purge, so reusing them commits nothing,
+// and the next sweep purges them only if a whole epoch left them unused.
+TEST(CounterSurface, PurgeSparesTheSlabsASweepJustEmptied)
+{
+    for (const SystemKind kind :
+         {SystemKind::kMineSweeper, SystemKind::kMarkUs}) {
+        System sys = make_system(kind);
+        SCOPED_TRACE(sys.name);
+        auto& rt = dynamic_cast<core::QuarantineRuntime&>(*sys.allocator);
+        const auto committed = [&] {
+            return sys.counters()[metrics::Stat::kPagesCommitted];
+        };
+        const auto purged = [&] {
+            return sys.counters()[metrics::Stat::kPagesPurged];
+        };
+        // 2000 x 256 B fill dozens of slabs and stay under the 1 MiB
+        // floor of both runtimes' triggers: only force_sweep() sweeps.
+        std::vector<void*> blocks(2000);
+        const auto churn = [&] {
+            for (void*& p : blocks)
+                p = sys.allocator->alloc(256);
+            for (void* p : blocks)
+                sys.allocator->free(p);
+        };
+        churn();
+        const std::uint64_t committed0 = committed();
+        EXPECT_GT(committed0, 0u);
+        rt.force_sweep();
+        EXPECT_EQ(purged(), 0u) << "the sweep purged the slabs it emptied";
+
+        // Reuse within the next epoch commits nothing, and the sweep that
+        // empties the slabs again still leaves them committed.
+        churn();
+        EXPECT_EQ(committed(), committed0)
+            << "reusing the emptied slabs committed pages";
+        rt.force_sweep();
+        EXPECT_EQ(purged(), 0u);
+
+        // A sweep after an epoch with no reuse purges them (one small
+        // free gives it a quarantine to lock in).
+        sys.allocator->free(sys.allocator->alloc(64));
+        rt.force_sweep();
+        EXPECT_GT(purged(), 0u) << "a whole unused epoch was not purged";
     }
 }
 

@@ -537,9 +537,11 @@ class Program:
         self.atfork_hooks = {"prepare": set(), "parent": set(),
                              "child": set()}
         self.shim_fids = []
+        self.class_rels = {}  # class name -> files declaring it
         for rel, facts in sorted(self.facts.items()):
             self.file_ranked[rel] = dict(facts["ranked"])
             for cname, bases in facts["classes"].items():
+                self.class_rels.setdefault(cname, []).append(rel)
                 self.classes.setdefault(cname, [])
                 for b in bases:
                     if b not in self.classes[cname]:
@@ -636,6 +638,24 @@ class Program:
                 queue.append(d)
         return out
 
+    def _inherited_member_type(self, cname, member):
+        """Type of @member as declared by a transitive base of cname,
+        in whichever file declares that base: a member a derived class
+        inherits is typed where the base declares it, not in the
+        derived class's own files."""
+        seen, queue = set(), list(self.classes.get(cname, []))
+        while queue:
+            c = queue.pop(0)
+            if c in seen:
+                continue
+            seen.add(c)
+            for rel in self.class_rels.get(c, []):
+                t = self.facts[rel]["types"].get(member)
+                if t:
+                    return t
+            queue.extend(self.classes.get(c, []))
+        return None
+
     def _resolve_call(self, fid, ev):
         rel, fn = self.funcs[fid]
         _off, _line, _k, name, rkind, recv = ev
@@ -645,12 +665,14 @@ class Program:
             # an unrelated `Trace::load`. An untyped receiver is an
             # unresolved edge (under-approximation, never a wrong edge).
             # Member types usually live in the paired header, not the
-            # .cc doing the call.
+            # .cc doing the call, or in a base class's header.
             t = facts["types"].get(recv)
             if t is None:
                 pair = _paired_rel(rel)
                 if pair in self.facts:
                     t = self.facts[pair]["types"].get(recv)
+            if t is None and fn["qual"]:
+                t = self._inherited_member_type(fn["qual"], recv)
             return self._virtual_lookup(t, name) if t else []
         if rkind == "scope":
             if recv in self.classes or (recv, name) in self.by_class:
