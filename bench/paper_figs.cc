@@ -13,16 +13,19 @@
  * (workload, column) pair is measured at most once per invocation, so
  * `--fig all` runs the SPEC CPU2006 suite once for Figs 7 to 14.
  *
- *   paper_figs --fig <7|8|10|12|13|14|15|16|17|18|19|policy|all>
+ *   paper_figs --fig <7|8|10|12|13|14|15|16|17|18|19|tail|policy|all>
  *
  * Writes BENCH_paper_figs.json to the working directory: one row per
- * figure x workload x system, plus each table's geomeans. Exits 1 if any
- * run failed. MSW_BENCH_SCALE multiplies every suite's default scale.
+ * figure x workload x system, each with its measurements, every runtime
+ * counter by its MSW_STAT_LIST name and the op-latency and pause
+ * digests, plus each table's geomeans. Exits 1 if any run failed.
+ * MSW_BENCH_SCALE multiplies every suite's default scale.
  */
 #include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdarg>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <map>
@@ -31,6 +34,7 @@
 #include "bench/bench_common.h"
 #include "workload/executor.h"
 #include "workload/mimalloc_kernels.h"
+#include "workload/server.h"
 #include "workload/spec_profiles.h"
 
 namespace msw::bench {
@@ -39,7 +43,7 @@ namespace {
 using workload::System;
 using workload::WorkloadResult;
 
-/** A SPEC profile or a stress kernel, closed over its scale. */
+/** A SPEC profile, a stress kernel or the server, closed over its scale. */
 struct Workload {
     std::string name;
     std::function<WorkloadResult(System&)> run;
@@ -66,7 +70,8 @@ enum Metric : std::size_t {
     kMetricCount,
 };
 
-/** JSON keys and column headers, by Metric. */
+/** JSON keys and column headers, by Metric. Runtime counters that a
+    Metric already shows (bytes_scanned) keep the Metric's key alone. */
 constexpr const char* kMetricKeys[kMetricCount] = {
     "wall_s", "cpu_s",  "avg_rss", "peak_rss",
     "sweeps", "allocs", "frees",   "bytes_scanned"};
@@ -99,7 +104,14 @@ struct RatioTable {
 
 /** Every suite; a figure names its own. */
 struct Suites {
-    Suite spec2006, ablation, partial, spec2017, kernels, policy, sphinx3;
+    Suite spec2006, ablation, partial, spec2017, kernels, policy, sphinx3,
+        server;
+};
+
+/** The columns a figure shows of its suite, and each column's runs. */
+struct View {
+    std::vector<std::string> labels;  ///< Per column, baseline first.
+    std::vector<std::vector<const RunRecord*>> runs;  ///< [workload][column]
 };
 
 struct Figure {
@@ -112,8 +124,8 @@ struct Figure {
     std::vector<RatioTable> ratios;
     /** Raw per-workload values of the last column (Fig 14). */
     std::vector<Metric> counts;
-    /** RSS over normalised time, one column per system (Fig 8). */
-    bool timeline = false;
+    /** A table of the figure's own (Fig 8's timeline, the server tail). */
+    void (*table)(const View&) = nullptr;
 };
 
 std::vector<Workload>
@@ -232,8 +244,33 @@ make_suites()
          policies, 240, {}},
         {profiles({workload::spec_profile("sphinx3", effective_scale(1.0))}),
          paper_systems(), 300, {}},
+        {{{"server",
+           [ops = static_cast<std::uint64_t>(1'000'000 *
+                                             effective_scale(1.0))](
+               System& s) {
+               workload::ServerOptions so;
+               so.threads = 4;
+               so.ops_per_thread = ops;
+               const WorkloadResult r = workload::run_server(s, so);
+               // A run that timed no operation, or lost an allocation,
+               // measured no tail: the forked child exits non-zero, and
+               // the parent counts the run as failed.
+               if (r.op_latency.count == 0 || r.failed_allocs != 0) {
+                   std::fprintf(stderr, " %llu ops timed, %llu allocs lost;",
+                                static_cast<unsigned long long>(
+                                    r.op_latency.count),
+                                static_cast<unsigned long long>(
+                                    r.failed_allocs));
+                   std::_Exit(1);
+               }
+               return r;
+           }}},
+         paper_systems(), 600, {}},
     };
 }
+
+void print_timeline(const View& view);
+void print_tail(const View& view);
 
 std::vector<Figure>
 make_figures()
@@ -250,8 +287,7 @@ make_figures()
          "baseline/minesweeper flat; ffmalloc grows monotonically to "
          "several times the baseline",
          &Suites::sphinx3, {{"baseline"}, {"ffmalloc"}, {"minesweeper"}},
-         {}, {},
-         /*timeline=*/true},
+         {}, {}, print_timeline},
         {"10",
          "Fig 10/11: SPEC CPU2006 memory overhead (sampled RSS vs "
          "baseline)",
@@ -311,6 +347,12 @@ make_figures()
          {{"Slowdown (Fig 19a)", kWall},
           {"Average memory overhead (Fig 19b)", kAvgRss}},
          {}},
+        {"tail",
+         "Server tail latency: per-op percentiles, allocation pauses and "
+         "STW windows",
+         "none (not a paper figure); §5.7's allocation pausing lands here "
+         "as pauses, and mostly-concurrent sweeping as STW time",
+         &Suites::server, {}, {}, {}, print_tail},
         {"policy", "Allocation-policy overhead (default vs hardened)",
          "none; prices the hardened policy on the allocation-heaviest "
          "kernels",
@@ -321,28 +363,79 @@ make_figures()
     };
 }
 
-/** Append one printf-formatted item to the JSON array body @p array. */
+/** Append printf-formatted text to @p out, however long. */
 __attribute__((format(printf, 2, 3))) void
-json_item(std::string& array, const char* fmt, ...)
+appendf(std::string& out, const char* fmt, ...)
 {
-    char buf[1024];
-    va_list ap;
+    va_list ap, again;
     va_start(ap, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, ap);
+    va_copy(again, ap);
+    const auto n =
+        static_cast<std::size_t>(std::vsnprintf(nullptr, 0, fmt, ap));
+    const std::size_t at = out.size();
+    out.resize(at + n + 1);
+    std::vsnprintf(out.data() + at, n + 1, fmt, again);
+    out.resize(at + n);
+    va_end(again);
     va_end(ap);
+}
+
+/** Append @p item to the JSON array body @p array. */
+void
+json_item(std::string& array, const std::string& item)
+{
     array += array.empty() ? "\n    " : ",\n    ";
-    array += buf;
+    array += item;
+}
+
+/** Append `, "key": {digest}` to the JSON object body @p out. */
+void
+json_digest(std::string& out, const char* key,
+            const metrics::LatencySummary& s)
+{
+    appendf(out,
+            ", \"%s\": {\"count\": %llu, \"mean_ns\": %.1f, "
+            "\"p50_ns\": %llu, \"p90_ns\": %llu, \"p99_ns\": %llu, "
+            "\"p999_ns\": %llu, \"max_ns\": %llu}",
+            key, static_cast<unsigned long long>(s.count), s.mean_ns,
+            static_cast<unsigned long long>(s.p50_ns),
+            static_cast<unsigned long long>(s.p90_ns),
+            static_cast<unsigned long long>(s.p99_ns),
+            static_cast<unsigned long long>(s.p999_ns),
+            static_cast<unsigned long long>(s.max_ns));
+}
+
+/** One JSON row: @p r's Metrics, then every runtime counter no Metric
+    already shows, by its MSW_STAT_LIST name, then both digests. */
+std::string
+json_row(const char* fig, const std::string& bench, const std::string& system,
+         const RunRecord& r)
+{
+    std::string row;
+    appendf(row,
+            "{\"fig\": \"%s\", \"bench\": \"%s\", \"system\": \"%s\", "
+            "\"ok\": %s",
+            fig, bench.c_str(), system.c_str(), r.ok ? "true" : "false");
+    const std::array<double, kMetricCount> v = values(r);
+    for (std::size_t m = 0; m < kMetricCount; ++m)
+        appendf(row, ", \"%s\": %.10g", kMetricKeys[m], v[m]);
+    for (unsigned k = 0; k < metrics::kStatCount; ++k) {
+        const char* name = metrics::kStatNames[k];
+        if (std::none_of(std::begin(kMetricKeys), std::end(kMetricKeys),
+                         [&](const char* m) {
+                             return std::strcmp(m, name) == 0;
+                         }))
+            appendf(row, ", \"%s\": %llu", name,
+                    static_cast<unsigned long long>(r.counters.values[k]));
+    }
+    json_digest(row, "op_latency_ns", r.op_latency);
+    json_digest(row, "sweep_pause_ns", r.sweep_pause);
+    return row + "}";
 }
 
 struct Json {
     std::string rows;
     std::string geomeans;
-};
-
-/** What a figure shows of its suite. */
-struct View {
-    std::vector<std::string> labels;  ///< Per column, baseline first.
-    std::vector<std::vector<const RunRecord*>> runs;  ///< [workload][column]
 };
 
 /** Measure each pair @p fig shows that @p suite has not run yet. */
@@ -417,13 +510,15 @@ print_ratio_table(const Figure& fig, const RatioTable& t, const Suite& suite,
     for (std::size_t c = 1; c < view.labels.size(); ++c) {
         const double g = metrics::geomean(ratios[c]);
         footer.push_back(metrics::fmt_ratio(g));
-        json_item(json.geomeans,
-                  "{\"fig\": \"%s\", \"table\": \"%s\", \"metric\": \"%s\", "
-                  "\"baseline\": \"%s\", \"system\": \"%s\", \"n\": %zu, "
-                  "\"geomean\": %.4f}",
-                  fig.id, t.title, kMetricKeys[t.metric],
-                  view.labels[0].c_str(),
-                  view.labels[c].c_str(), ratios[c].size(), g);
+        std::string item;
+        appendf(item,
+                "{\"fig\": \"%s\", \"table\": \"%s\", \"metric\": \"%s\", "
+                "\"baseline\": \"%s\", \"system\": \"%s\", \"n\": %zu, "
+                "\"geomean\": %.4f}",
+                fig.id, t.title, kMetricKeys[t.metric],
+                view.labels[0].c_str(), view.labels[c].c_str(),
+                ratios[c].size(), g);
+        json_item(json.geomeans, item);
     }
     table.add_row(std::move(footer));
     table.print();
@@ -510,6 +605,29 @@ print_timeline(const View& view)
     std::printf("\n");
 }
 
+/** The server tail: each column's op-latency percentiles, allocation
+    pauses and STW time. */
+void
+print_tail(const View& view)
+{
+    std::printf("\n");
+    metrics::Table table({"system", "ops", "p50_ns", "p90_ns", "p99_ns",
+                          "p999_ns", "max_ns", "pauses", "stw_ms"});
+    for (std::size_t c = 0; c < view.labels.size(); ++c) {
+        const RunRecord& r = *view.runs.front()[c];
+        const metrics::LatencySummary& op = r.op_latency;
+        std::vector<std::string> cells = {view.labels[c]};
+        for (const std::uint64_t v :
+             {op.count, op.p50_ns, op.p90_ns, op.p99_ns, op.p999_ns,
+              op.max_ns, r.sweep_pause.count})
+            cells.push_back(std::to_string(v));
+        cells.push_back(metrics::fmt_seconds(
+            static_cast<double>(r.counters[metrics::Stat::kStwNs]) * 1e-6));
+        table.add_row(std::move(cells));
+    }
+    table.print();
+}
+
 /** Measure, print and record @p fig; false if any of its runs failed. */
 bool
 run_figure(const Figure& fig, Suite& suite, Json& json)
@@ -520,20 +638,8 @@ run_figure(const Figure& fig, Suite& suite, Json& json)
         for (std::size_t c = 0; c < view.labels.size(); ++c) {
             const RunRecord& r = *view.runs[w][c];
             ok = ok && r.ok;
-            std::string fields;
-            const std::array<double, kMetricCount> v = values(r);
-            for (std::size_t m = 0; m < kMetricCount; ++m) {
-                char buf[64];
-                std::snprintf(buf, sizeof(buf), ", \"%s\": %.10g",
-                              kMetricKeys[m], v[m]);
-                fields += buf;
-            }
-            json_item(json.rows,
-                      "{\"fig\": \"%s\", \"bench\": \"%s\", \"system\": "
-                      "\"%s\", \"ok\": %s%s}",
-                      fig.id, suite.workloads[w].name.c_str(),
-                      view.labels[c].c_str(), r.ok ? "true" : "false",
-                      fields.c_str());
+            json_item(json.rows, json_row(fig.id, suite.workloads[w].name,
+                                          view.labels[c], r));
         }
     }
     std::printf("== %s ==\npaper: %s\n", fig.title, fig.paper);
@@ -541,8 +647,8 @@ run_figure(const Figure& fig, Suite& suite, Json& json)
         print_ratio_table(fig, t, suite, view, json);
     if (!fig.counts.empty())
         print_count_table(fig, suite, view);
-    if (fig.timeline)
-        print_timeline(view);
+    if (fig.table != nullptr)
+        fig.table(view);
     if (!ok)
         std::printf("\nFAILED: at least one run of this figure failed\n");
     std::printf("\n");

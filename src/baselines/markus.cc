@@ -14,15 +14,17 @@ MarkUs::make_config(const Options& opts)
 {
     Config c;
     c.jade = opts.jade;
-    c.reclaim.unmapping = opts.unmapping;
+    // Large quarantined allocations give their pages back (§4.2).
+    c.reclaim.unmapping = true;
     // MarkUs does *not* zero freed data — reachability through the
     // quarantine is resolved by the transitive marking pass instead.
     c.reclaim.zeroing = false;
-    c.control.background = opts.concurrent;
+    // Marking runs on the controller's background thread.
+    c.control.background = true;
     c.make_tracker = true;
     // The 25 % trigger alone: no unmapped trigger, no allocation pausing
     // (the Config's defaults).
-    c.sweep_threshold = opts.quarantine_threshold;
+    c.sweep_threshold = 0.25;
     c.min_sweep_bytes = opts.min_mark_bytes;
     return c;
 }

@@ -42,14 +42,11 @@ namespace msw::baseline {
 class MarkUs final : public core::QuarantineRuntime
 {
   public:
+    /** What a caller may set; the rest of the configuration is fixed
+        by make_config (see the fidelity notes above). */
     struct Options {
-        /** Mark when quarantine exceeds this fraction of the live heap. */
-        double quarantine_threshold = 0.25;
+        /** No marking pass while the quarantine holds less than this. */
         std::size_t min_mark_bytes = std::size_t{1} << 20;
-        /** Release pages of large quarantined allocations. */
-        bool unmapping = true;
-        /** Run marking on a background thread. */
-        bool concurrent = true;
         alloc::JadeAllocator::Options jade{};
     };
 

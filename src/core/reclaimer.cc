@@ -138,6 +138,16 @@ Reclaimer::end_scan()
     drain_pending_locked();
 }
 
+void
+Reclaimer::purge_all_unless_scanning()
+{
+    LockGuard g(unmap_lock_);
+    // msw-relaxed(epoch-handoff): read under unmap_lock_, which
+    // begin_scan/end_scan hold when they flip it.
+    if (!scan_active_.load(std::memory_order_relaxed))
+        jade_->purge_all();
+}
+
 // The fork hooks hold unmap_lock_ across fork(); the pairing is
 // enforced by core/lifecycle, outside what the static analysis can see.
 void

@@ -79,6 +79,14 @@ class Reclaimer
     /** Scan over: stop deferring and drain what queued meanwhile. */
     void end_scan();
 
+    /**
+     * Purge every free extent (JadeAllocator::purge_all) unless a scan
+     * is active: the marker reads the committed runs it listed when the
+     * scan began, so a page decommitted under it faults the sweep.
+     * unmap_lock_ is held throughout, so no scan begins meanwhile.
+     */
+    void purge_all_unless_scanning();
+
     /** True while a scan holds decommits back (extent hooks consult this
         to treat pages committed mid-scan as dirty). */
     bool

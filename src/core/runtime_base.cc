@@ -251,8 +251,10 @@ QuarantineRuntime::emergency_reclaim()
         }
     }
     // Return every free extent's pages to the OS so the next commit can
-    // succeed even when the kernel is the constraint.
-    jade_.purge_all();
+    // succeed even when the kernel is the constraint; not while a sweep
+    // (another thread's, or one begun since) scans them. A later rung
+    // of the ladder tries again.
+    reclaimer_.purge_all_unless_scanning();
 }
 
 // ------------------------------------------------------------------ free

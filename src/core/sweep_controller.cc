@@ -22,6 +22,10 @@ constexpr std::uint64_t kWaitPollMs = 500;
 /** Longest allocation pause when the watchdog is off. */
 constexpr std::uint64_t kPauseCapMs = 2000;
 
+/** control_waiters_' stop bit: shutdown() is past its last sweep, and no
+    wait may enter. */
+constexpr int kWaiterStop = 1 << 30;
+
 void
 sleep_ms(long ms)
 {
@@ -86,8 +90,8 @@ SweepController::shutdown()
         MutexGuard g(sweep_mu_);
         shutdown_ = true;
         // No sweep serves a request from here on, so none is pending:
-        // every later request_sweep() takes the locked path, which leaves
-        // the waiter drain below the gaps between control calls it needs.
+        // every later request_sweep() takes the locked path and sees
+        // shutdown_.
         // msw-relaxed(sweeper-token): mirror of sweep_requested_, as in
         // request_sweep().
         request_pending_.store(false, std::memory_order_relaxed);
@@ -111,9 +115,16 @@ SweepController::shutdown()
     }
     sweep_done_cv_.notify_all();
 
-    // Drain control-path waiters that entered before shutdown was
-    // visible, so no thread is left blocked on state the owner destroys.
-    while (control_waiters_.load(std::memory_order_acquire) != 0) {
+    // No sweep is in flight now, nor can one start, so a control call may
+    // return without waiting: from here on WaiterGuard refuses every
+    // call, and the drain below waits only for the ones already inside.
+    // RMW atomicity orders the stop against every WaiterGuard CAS; the
+    // release publishes the token claim (and so every sweep's end) to the
+    // refused, and the drain's acquire load pairs with exits.
+    control_waiters_.fetch_or(kWaiterStop, std::memory_order_release);
+    // Drain control-path waiters that entered before the stop, so no
+    // thread is left blocked on state the owner destroys.
+    while (control_waiters_.load(std::memory_order_acquire) != kWaiterStop) {
         sweep_done_cv_.notify_all();
         sleep_ms(1);
     }
@@ -233,16 +244,36 @@ SweepController::ensure_sweeper()
 class SweepController::WaiterGuard
 {
   public:
+    /** Enter the count, unless shutdown() has set the stop bit. */
     explicit WaiterGuard(std::atomic<int>* count) : count_(count)
     {
-        // msw-relaxed(sweeper-token): RMW atomicity suffices; the shutdown
-        // drain polls the release/acquire-paired count.
-        count_->fetch_add(1, std::memory_order_relaxed);
+        // Acquire pairs with the stop's release: a refused caller sees
+        // the last sweep's end, e.g. before its thread frees a stack that
+        // sweep scanned.
+        int n = count_->load(std::memory_order_acquire);
+        for (;;) {
+            entered_ = (n & kWaiterStop) == 0;
+            // msw-cas(sweeper-token): a plain count, no ABA to fear; RMW
+            // atomicity orders entry and the stop bit, and the drain
+            // polls the release-paired exits.
+            if (!entered_ || count_->compare_exchange_weak(
+                                 n, n + 1, std::memory_order_acquire))
+                break;
+        }
     }
-    ~WaiterGuard() { count_->fetch_sub(1, std::memory_order_release); }
+    ~WaiterGuard()
+    {
+        if (entered_)
+            count_->fetch_sub(1, std::memory_order_release);
+    }
+
+    /** False once shutdown() has set the stop bit: no sweep is left to
+        wait for, and the caller must return at once. */
+    bool entered() const { return entered_; }
 
   private:
     std::atomic<int>* count_;
+    bool entered_;
 };
 
 bool
@@ -426,6 +457,8 @@ SweepController::pause()
     const std::uint64_t t0 = monotonic_ns();
     {
         const WaiterGuard waiter(&control_waiters_);
+        if (!waiter.entered())
+            return;
         // A dead sweeper (e.g. a fork child whose respawn failed) never
         // clears the flag or notifies, so the wait must not outlive the
         // watchdog deadline — check_watchdog() below self-serves then.
@@ -457,6 +490,8 @@ void
 SweepController::wait_for_sweep_completion(std::uint64_t timeout_ms)
 {
     const WaiterGuard waiter(&control_waiters_);
+    if (!waiter.entered())
+        return;
     std::uint64_t ticket;
     {
         MutexGuard g(sweep_mu_);
@@ -475,6 +510,8 @@ SweepController::force_sweep()
         return;
     }
     const WaiterGuard waiter(&control_waiters_);
+    if (!waiter.entered())
+        return;
     std::uint64_t ticket;
     {
         MutexGuard g(sweep_mu_);
@@ -496,6 +533,8 @@ SweepController::wait_idle()
     if (!config_.background)
         return;
     const WaiterGuard waiter(&control_waiters_);
+    if (!waiter.entered())
+        return;
     // A stalled sweeper would leave the request pending forever; the
     // serving wait sweeps here so flush() keeps its completion guarantee.
     await(kWaitPollMs, OnMiss::kServe, [&]() MSW_REQUIRES(sweep_mu_) {

@@ -188,7 +188,8 @@ class SweepController
         or serve the request with a fallback sweep and wait on. */
     enum class OnMiss { kReturn, kWait, kServe };
 
-    /** Counts a thread in a control-path wait for the shutdown drain. */
+    /** Counts a thread in a control-path wait for the shutdown drain,
+        or refuses it once shutdown() has set the stop bit. */
     class WaiterGuard;
 
     /**
@@ -255,9 +256,11 @@ class SweepController
     std::atomic<std::uint64_t> sweep_request_ns_{0};
     std::atomic<bool> watchdog_tripped_{false};
 
-    // Threads in control-path waits (WaiterGuard). shutdown() drains
-    // these before returning, so calls that raced shutdown return safely
-    // instead of touching freed owner state.
+    // Threads in control-path waits (WaiterGuard), plus a stop bit that
+    // shutdown() sets once no sweep can run: from then on no wait enters,
+    // and shutdown() drains the ones inside before returning, so calls
+    // that raced shutdown return safely instead of touching freed owner
+    // state.
     std::atomic<int> control_waiters_{0};
 };
 

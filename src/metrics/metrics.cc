@@ -6,7 +6,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -15,6 +17,7 @@
 #include <type_traits>
 
 #include "util/check.h"
+#include "util/log.h"
 #include "vm/vm.h"
 
 namespace msw::metrics {
@@ -134,24 +137,35 @@ struct WireSample {
 
 /**
  * Read @p len bytes, giving up (and returning false) if nothing arrives
- * within @p timeout_s seconds (0 = wait forever). On timeout the child is
- * killed by the caller.
+ * within @p timeout_s seconds (0 = wait forever) or the pipe ends;
+ * *timed_out tells the two apart. On timeout the child is killed by the
+ * caller. A signal that interrupts poll or read is not a failure.
  */
 bool
-read_fully(int fd, void* buf, std::size_t len, unsigned timeout_s)
+read_fully(int fd, void* buf, std::size_t len, unsigned timeout_s,
+           bool* timed_out)
 {
     auto* p = static_cast<char*>(buf);
     while (len > 0) {
         if (timeout_s > 0) {
-            struct pollfd pfd {
-                fd, POLLIN, 0
-            };
-            const int pr =
-                ::poll(&pfd, 1, static_cast<int>(timeout_s) * 1000);
+            const double deadline = wall_seconds() + timeout_s;
+            int pr;
+            do {
+                struct pollfd pfd {
+                    fd, POLLIN, 0
+                };
+                const double left_ms = (deadline - wall_seconds()) * 1e3;
+                pr = ::poll(&pfd, 1,
+                            static_cast<int>(std::max(0.0, left_ms)));
+            } while (pr < 0 && errno == EINTR);
+            *timed_out = pr == 0;
             if (pr <= 0)
                 return false;
         }
-        const ssize_t n = ::read(fd, p, len);
+        ssize_t n;
+        do {
+            n = ::read(fd, p, len);
+        } while (n < 0 && errno == EINTR);
         if (n <= 0)
             return false;
         p += n;
@@ -166,6 +180,8 @@ write_fully(int fd, const void* buf, std::size_t len)
     const auto* p = static_cast<const char*>(buf);
     while (len > 0) {
         const ssize_t n = ::write(fd, p, len);
+        if (n < 0 && errno == EINTR)
+            continue;
         if (n <= 0)
             return false;
         p += n;
@@ -207,16 +223,18 @@ run_in_subprocess(const std::function<RunRecord()>& body,
     RunRecord rec;
     RunHead head;
     std::uint64_t series_len = 0;
-    bool ok = read_fully(fds[0], &head, sizeof(head), timeout_s) &&
+    bool timed_out = false;
+    bool ok = read_fully(fds[0], &head, sizeof(head), timeout_s,
+                         &timed_out) &&
               read_fully(fds[0], &series_len, sizeof(series_len),
-                         timeout_s);
+                         timeout_s, &timed_out);
     if (ok) {
         static_cast<RunHead&>(rec) = head;
         rec.rss_series.reserve(series_len);
     }
     for (std::uint64_t i = 0; i < series_len && ok; ++i) {
         WireSample s;
-        ok = read_fully(fds[0], &s, sizeof(s), timeout_s);
+        ok = read_fully(fds[0], &s, sizeof(s), timeout_s, &timed_out);
         if (ok)
             rec.rss_series.emplace_back(s.t, s.rss);
     }
@@ -225,8 +243,21 @@ run_in_subprocess(const std::function<RunRecord()>& body,
     if (!ok)
         ::kill(pid, SIGKILL);
     int status = 0;
-    ::waitpid(pid, &status, 0);
+    while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+    }
     rec.ok = ok && WIFEXITED(status) && WEXITSTATUS(status) == 0;
+    if (rec.ok)
+        return rec;
+    // Say how the child ended: the log is all a failed run leaves.
+    if (timed_out) {
+        MSW_LOG_WARN("forked run failed: no record within %u s", timeout_s);
+    } else if (WIFSIGNALED(status)) {
+        MSW_LOG_WARN("forked run failed: child killed by signal %d (%s)",
+                     WTERMSIG(status), strsignal(WTERMSIG(status)));
+    } else {
+        MSW_LOG_WARN("forked run failed: child exited with code %d",
+                     WEXITSTATUS(status));
+    }
     return rec;
 }
 

@@ -6,9 +6,9 @@
  * Every surface that reports counters — the sharded StatCells block, the
  * SweepStats struct, the System snapshot the workload runner reads, the
  * RunRecord shipped through the fork pipe, the MSW_STATS_DUMP/SIGUSR2
- * export and the server_tail JSON — walks this table rather than naming
- * counters itself, so adding a counter is one row here plus its
- * increment site.
+ * export and every row of BENCH_paper_figs.json — walks this table
+ * rather than naming counters itself, so adding a counter is one row
+ * here plus its increment site.
  *
  * Dependency-free on purpose: msw_core reports through it and msw_metrics
  * (which does not link msw_core) records and exports it.

@@ -3,6 +3,7 @@
 #include <sys/mman.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <ctime>
 
@@ -275,8 +276,15 @@ Quarantine::insert(const Entry& entry)
         pending_bytes_.fetch_add(entry.usable, std::memory_order_relaxed);
     }
     ThreadBuffer* buf = get_buffer();
-    buf->entries[buf->count++] = entry;
-    if (buf->count == buf->capacity)
+    const std::size_t n = buf->count;
+    buf->entries[n] = entry;
+    // Count the entry only once it is written: a fork() on another thread
+    // can copy this buffer between the two stores, and the child adopts
+    // it (child_after_fork) and releases every counted entry, so a count
+    // stored first would hand it a stale entry already flushed.
+    std::atomic_ref<std::size_t>(buf->count)
+        .store(n + 1, std::memory_order_release);
+    if (n + 1 == buf->capacity)
         flush_thread_buffer();
 }
 

@@ -15,19 +15,38 @@ namespace msw::workload {
 
 namespace {
 
+// Session lifetime in operations: Pareto(alpha), clipped. The heavy tail
+// keeps a fraction of sessions alive across many sweeps, which is what
+// makes failed-free pressure realistic.
+constexpr double kLifetimeAlpha = 1.1;
+constexpr std::uint64_t kLifetimeMax = 1 << 16;
+
+// Buffer sizes: Pareto-tailed from kSizeMin, clipped at kSizeMax.
+constexpr double kSizeAlpha = 1.3;
+constexpr std::size_t kSizeMin = 48;
+constexpr std::size_t kSizeMax = 64 * 1024;
+
+/** Max buffers per session (actual count uniform in [1, max]). */
+constexpr unsigned kMaxBuffers = 3;
+
+/** Bytes read+written per touch operation. */
+constexpr unsigned kTouchBytes = 256;
+
+constexpr std::uint64_t kSeed = 0x5eed;
+
 /**
  * One live session. Lives in the system-under-test heap; the pointers
- * in bufs[] are what sweeps chase. kMaxBufs bounds the inline pointer
- * array — ServerOptions::max_buffers is clamped to it.
+ * in bufs[] are what sweeps chase. One slot more than kMaxBuffers keeps
+ * the header at one 64-byte allocation.
  */
 struct Session {
     std::uint64_t close_at = 0;  ///< Op index at which the session expires.
     std::uint32_t nbufs = 0;
     std::uint32_t newest = 0;    ///< Index of the most recent buffer.
-    static constexpr unsigned kMaxBufs = 4;
-    void* bufs[kMaxBufs] = {};
-    std::uint32_t buf_sizes[kMaxBufs] = {};
+    void* bufs[kMaxBuffers + 1] = {};
+    std::uint32_t buf_sizes[kMaxBuffers + 1] = {};
 };
+static_assert(sizeof(Session) == 64);
 
 class ServerWorker
 {
@@ -35,7 +54,7 @@ class ServerWorker
     ServerWorker(System& system, const ServerOptions& opts, unsigned index)
         : system_(system),
           opts_(opts),
-          rng_(opts.seed * 7919 + index * 104729 + 29),
+          rng_(kSeed * 7919 + index * 104729 + 29),
           slots_(opts.sessions_per_thread, nullptr)
     {}
 
@@ -45,24 +64,10 @@ class ServerWorker
         system_.register_thread();
         system_.add_root(slots_.data(), slots_.size() * sizeof(Session*));
 
-        const double t_end =
-            opts_.duration_s > 0
-                ? metrics::wall_seconds() + opts_.duration_s
-                : 0;
-        std::uint64_t op = 0;
-        for (;;) {
-            if (opts_.duration_s > 0) {
-                // Duration mode: check the clock once per batch so the
-                // loop condition itself stays out of the measurement.
-                if ((op & 1023) == 0 && metrics::wall_seconds() >= t_end)
-                    break;
-            } else if (op >= opts_.ops_per_thread) {
-                break;
-            }
+        for (std::uint64_t op = 0; op < opts_.ops_per_thread; ++op) {
             const std::uint64_t t0 = metrics::telemetry_now_ns();
             serve_one(op);
             hist_.record(metrics::telemetry_now_ns() - t0);
-            ++op;
         }
 
         // Server shutdown: close every live session, then deregister the
@@ -82,10 +87,9 @@ class ServerWorker
     std::size_t
     draw_buf_size()
     {
-        const auto tail = static_cast<std::size_t>(rng_.next_pareto(
-            opts_.size_alpha, static_cast<double>(opts_.size_max)));
-        const std::size_t size = opts_.size_min + tail;
-        return std::min(size, opts_.size_max);
+        const auto tail = static_cast<std::size_t>(
+            rng_.next_pareto(kSizeAlpha, static_cast<double>(kSizeMax)));
+        return std::min(kSizeMin + tail, kSizeMax);
     }
 
     void
@@ -116,14 +120,12 @@ class ServerWorker
         result_.allocs += 1;
         result_.bytes_allocated += sizeof(Session);
         new (s) Session();
-        s->close_at =
-            op + static_cast<std::uint64_t>(rng_.next_pareto(
-                     opts_.lifetime_alpha,
-                     static_cast<double>(opts_.lifetime_max)));
+        s->close_at = op + static_cast<std::uint64_t>(rng_.next_pareto(
+                               kLifetimeAlpha,
+                               static_cast<double>(kLifetimeMax)));
 
-        const unsigned want = 1 + static_cast<unsigned>(rng_.next_below(
-                                      std::min(opts_.max_buffers,
-                                               Session::kMaxBufs)));
+        const unsigned want =
+            1 + static_cast<unsigned>(rng_.next_below(kMaxBuffers));
         for (unsigned b = 0; b < want; ++b) {
             const std::size_t size = draw_buf_size();
             void* buf = system_.allocator->alloc(size);
@@ -174,8 +176,7 @@ class ServerWorker
         // Read-modify-write a stripe: the request handler doing work
         // against session state, so cached lines and TLB entries behave
         // as in a real server.
-        const std::size_t span =
-            std::min<std::size_t>(opts_.touch_bytes, size);
+        const std::size_t span = std::min<std::size_t>(kTouchBytes, size);
         const std::size_t start =
             span < size ? rng_.next_below(size - span + 1) : 0;
         std::uint64_t acc = 0;

@@ -43,36 +43,13 @@ struct ServerOptions {
     unsigned threads = 4;
 
     /**
-     * Operations per thread (op-count mode). Ignored when duration_s is
-     * set. Sessions churn continuously, so ops >> slots yields many
-     * session generations per run.
+     * Operations per thread. Sessions churn continuously, so ops >> slots
+     * yields many session generations per run.
      */
     std::uint64_t ops_per_thread = 200000;
 
-    /** If > 0, run for this much wall time instead of a fixed op count. */
-    double duration_s = 0;
-
     /** Concurrent sessions per thread (slot-table size). */
     std::size_t sessions_per_thread = 2048;
-
-    // Session lifetime in operations: Pareto(alpha), clipped. The heavy
-    // tail keeps a fraction of sessions alive across many sweeps, which
-    // is what makes failed-free pressure realistic.
-    double lifetime_alpha = 1.1;
-    std::uint64_t lifetime_max = 1 << 16;
-
-    // Buffer sizes: Pareto-tailed from size_min, clipped at size_max.
-    double size_alpha = 1.3;
-    std::size_t size_min = 48;
-    std::size_t size_max = 64 * 1024;
-
-    /** Max buffers per session (actual count uniform in [1, max]). */
-    unsigned max_buffers = 3;
-
-    /** Bytes read+written per touch operation. */
-    unsigned touch_bytes = 256;
-
-    std::uint64_t seed = 0x5eed;
 };
 
 /**

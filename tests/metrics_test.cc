@@ -1,9 +1,13 @@
 // Metrics tests: RSS sampling, CPU/wall clocks, subprocess round-trips,
 // geomean and table formatting.
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/time.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <thread>
 
 #include "metrics/metrics.h"
 #include "vm/vm.h"
@@ -127,6 +131,36 @@ TEST(Subprocess, TimeoutKillsHungChild)
         /*timeout_s=*/1);
     EXPECT_FALSE(rec.ok);
     EXPECT_LT(wall_seconds() - t0, 10.0);
+}
+
+// SIGALRM without SA_RESTART makes poll, read and waitpid in the parent
+// fail with EINTR; the interrupted wait must go on, not fail the run.
+// Interval timers are not inherited across fork, so the child runs on
+// undisturbed.
+TEST(Subprocess, ParentSignalDoesNotFailTheRun)
+{
+    struct sigaction no_restart {};
+    no_restart.sa_handler = [](int) {};
+    sigemptyset(&no_restart.sa_mask);
+    struct sigaction old {};
+    ASSERT_EQ(sigaction(SIGALRM, &no_restart, &old), 0);
+    const itimerval every_ms{{0, 1000}, {0, 1000}};
+    ASSERT_EQ(setitimer(ITIMER_REAL, &every_ms, nullptr), 0);
+    for (const unsigned timeout_s : {0u, 10u}) {
+        const RunRecord rec = run_in_subprocess(
+            [] {
+                std::this_thread::sleep_for(std::chrono::milliseconds(100));
+                RunRecord r;
+                r.allocs = 7;
+                return r;
+            },
+            timeout_s);
+        EXPECT_TRUE(rec.ok) << "timeout_s " << timeout_s;
+        EXPECT_EQ(rec.allocs, 7u) << "timeout_s " << timeout_s;
+    }
+    const itimerval off{};
+    setitimer(ITIMER_REAL, &off, nullptr);
+    sigaction(SIGALRM, &old, nullptr);
 }
 
 TEST(Geomean, MatchesClosedForm)

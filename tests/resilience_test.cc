@@ -351,6 +351,50 @@ TEST_F(ResilienceTest, UnregisterWhileSweepIsMarking)
     ms.force_sweep();  // second sweep after the thread left: no stale stack
 }
 
+// The out-of-memory ladder's purge must wait out an open scan: the
+// marker scans the committed runs it listed when the scan began, and a
+// page decommitted under it faults the sweep (Marker::scan_chunk took a
+// SIGSEGV that way in CommitFailureSoakKeepsGuarantees, about once in
+// 400 runs four at a time).
+TEST_F(ResilienceTest, EmergencyPurgeWaitsOutAnOpenScan)
+{
+    Options o = manual_sweep_options();
+    o.alloc_retry_attempts = 2;  // one emergency reclaim
+    o.alloc_retry_backoff_us = 1;
+    MineSweeper ms(o);
+
+    // Committed free extents for a purge to take: the sweep releases the
+    // freed blocks, and the post-sweep purge leaves the slabs they
+    // emptied committed for one epoch.
+    std::vector<void*> blocks;
+    for (int i = 0; i < 4096; ++i)
+        blocks.push_back(ms.alloc(1024));
+    for (void* p : blocks)
+        ms.free(p);
+    ms.force_sweep();
+
+    // Hold the next sweep inside its scan.
+    ms.free(ms.alloc(64));
+    util::failpoint_arm(Failpoint::kSweepDelay, FailpointPolicy::prob(1.0));
+    std::thread sweep([&] { ms.force_sweep(); });
+    ASSERT_TRUE(wait_until(
+        [] {
+            return util::failpoint_evaluations(Failpoint::kSweepDelay) > 0;
+        },
+        5000));
+    const std::uint64_t purged = ms.sweep_stats().pages_purged;
+
+    util::failpoint_arm(Failpoint::kExtentGrow, FailpointPolicy::prob(1.0));
+    EXPECT_EQ(ms.alloc(std::size_t{64} << 20), nullptr);
+    util::failpoint_disarm(Failpoint::kExtentGrow);
+    EXPECT_EQ(ms.sweep_stats().emergency_sweeps, 1u);
+    EXPECT_EQ(ms.sweep_stats().pages_purged, purged)
+        << "the emergency purge decommitted pages under an open scan";
+
+    util::failpoint_disarm(Failpoint::kSweepDelay);
+    sweep.join();
+}
+
 TEST_F(ResilienceTest, CommitFailureSoakKeepsGuarantees)
 {
     util::failpoint_seed(2026);

@@ -1,6 +1,6 @@
 // Server-workload tests: session bookkeeping balances, the latency
-// digest populates, duration mode terminates, and the workload runs
-// against every system the benchmark compares.
+// digest populates, and the workload runs against every system the
+// benchmark compares.
 #include <gtest/gtest.h>
 
 #include "workload/server.h"
@@ -56,16 +56,6 @@ TEST(ServerWorkload, DeterministicOpStreamForSameSeed)
     EXPECT_EQ(ra.frees, rb.frees);
     EXPECT_EQ(ra.bytes_allocated, rb.bytes_allocated);
     EXPECT_EQ(ra.checksum, rb.checksum);
-}
-
-TEST(ServerWorkload, DurationModeTerminates)
-{
-    ServerOptions so = tiny_options();
-    so.duration_s = 0.2;
-    System sys = make_system(SystemKind::kBaseline);
-    const WorkloadResult r = run_server(sys, so);
-    EXPECT_GT(r.op_latency.count, 0u);
-    EXPECT_EQ(r.allocs, r.frees);
 }
 
 TEST(ServerWorkload, RunsAgainstEverySystem)

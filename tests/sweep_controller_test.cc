@@ -277,15 +277,67 @@ TEST(SweepControllerTest, ShutdownDrainsConcurrentControlCalls)
         });
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    // The drain waits only for calls that entered before shutdown began:
+    // threads still looping cannot hold it off.
+    const auto t0 = std::chrono::steady_clock::now();
     ctl->shutdown();
+    const auto took = std::chrono::steady_clock::now() - t0;
     stop.store(true, std::memory_order_release);
     for (auto& t : threads)
         t.join();
+    EXPECT_LT(took, std::chrono::milliseconds(250));
 
     // Post-shutdown control calls are safe no-ops.
     EXPECT_FALSE(ctl->run_sweep_now());
     ctl->force_sweep();
     ctl.reset();
+}
+
+TEST(SweepControllerTest, ShutdownDoesNotCutShortAWaitForAStartedSweep)
+{
+    // A thread leaving the runtime waits for the sweep in flight before
+    // its stack goes away; shutdown() racing that wait must not end it
+    // early, whether the wait began before shutdown() or after.
+    StatCells stats;
+    std::atomic<bool> in_sweep{false};
+    std::atomic<bool> release{false};
+    std::atomic<bool> swept{false};
+    SweepController ctl(
+        SweepController::Config{},
+        [&] {
+            in_sweep.store(true);
+            while (!release.load())
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            swept.store(true);
+        },
+        &stats);
+    ctl.start();
+    ctl.request_sweep(false);
+    while (!in_sweep.load())
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+    std::atomic<int> returned{0};
+    std::atomic<int> returned_early{0};
+    auto waiter = [&] {
+        ctl.wait_for_sweep_completion(0);
+        if (!swept.load())
+            returned_early.fetch_add(1);
+        returned.fetch_add(1);
+    };
+    std::thread before(waiter);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    std::thread stopper([&] { ctl.shutdown(); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    std::thread after(waiter);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_EQ(returned.load(), 0);
+
+    release.store(true);
+    before.join();
+    after.join();
+    stopper.join();
+    EXPECT_EQ(returned.load(), 2);
+    EXPECT_EQ(returned_early.load(), 0);
 }
 
 TEST(SweepControllerTest, ShutdownIsIdempotent)

@@ -4,7 +4,9 @@
 #      hardened-policy label (-L hardened) on the same build, then the
 #      repeat gate: every test outside the failpoint/chaos soaks 20
 #      times over (--repeat until-fail:20), so a flake fails the change
-#      that adds it;
+#      that adds it. Both include paper_figs_smoke, which runs every
+#      paper figure and the server tail at a tiny scale and fails on
+#      any failed run (a tail run that timed no operation included);
 #   2. MSW_THREAD_SAFETY=ON with clang++ (thread-safety analysis is a
 #      Clang feature) — compile-only, -Werror=thread-safety;
 #   3. MSW_SANITIZE=address,undefined + full test suite, then the
@@ -13,10 +15,7 @@
 #      (-L "tsan|chaos"), then the tsan label again with
 #      MSW_POLICY=hardened so the policy hooks are raced too;
 #   5. msw-analyze (tools/analysis/) self-test + clean run over src/;
-#   6. server tail-latency smoke: bench/server_tail in short duration
-#      mode, then tools/ci/check_server_tail.py validates the output
-#      shape (all four systems with full percentile digests);
-#   7. the benchmark's own output checks: perfbench/selftest.py runs
+#   6. the benchmark's own output checks: perfbench/selftest.py runs
 #      every workload at a small scale and asserts the checksum, ledger
 #      and UAF-probe checks pass (and fail on injected faults).
 # Configurations whose toolchain is unavailable are skipped with a note,
@@ -37,7 +36,7 @@ run() { echo "+ $*" >&2; "$@"; }
 failures=()
 chaos_seconds="${MSW_CHAOS_SECONDS:-10}"
 
-echo "=== [1/7] default build + tests ==="
+echo "=== [1/6] default build + tests ==="
 run cmake -B "$repo/build-check" -S "$repo" >/dev/null
 run cmake --build "$repo/build-check" -j >/dev/null
 if ! (cd "$repo/build-check" && ctest --output-on-failure -j "$(nproc)"); then
@@ -55,7 +54,7 @@ if ! (cd "$repo/build-check" && ctest --output-on-failure -j "$(nproc)" \
 fi
 
 if [ "$quick" = "0" ]; then
-    echo "=== [2/7] MSW_THREAD_SAFETY=ON (clang) ==="
+    echo "=== [2/6] MSW_THREAD_SAFETY=ON (clang) ==="
     if command -v clang++ >/dev/null 2>&1; then
         if run cmake -B "$repo/build-check-tsa" -S "$repo" \
                 -DCMAKE_CXX_COMPILER=clang++ \
@@ -69,7 +68,7 @@ if [ "$quick" = "0" ]; then
         echo "clang++ not found; skipping the thread-safety configuration."
     fi
 
-    echo "=== [3/7] MSW_SANITIZE=address,undefined + tests ==="
+    echo "=== [3/6] MSW_SANITIZE=address,undefined + tests ==="
     # handle_segv=0: the suite *intends* SIGSEGV in places (UAF probes on
     # unmapped quarantine pages, mprotect write-barrier faults); ASan must
     # not convert those into aborts.
@@ -97,7 +96,7 @@ if [ "$quick" = "0" ]; then
         failures+=("asan-ubsan-build")
     fi
 
-    echo "=== [4/7] MSW_SANITIZE=thread + race/chaos suites ==="
+    echo "=== [4/6] MSW_SANITIZE=thread + race/chaos suites ==="
     # Only the tsan- and chaos-labelled tests: a full suite under TSan
     # takes too long for a local gate, and the remaining tests exercise
     # no cross-thread interleavings the labelled ones don't.
@@ -121,7 +120,7 @@ if [ "$quick" = "0" ]; then
         failures+=("tsan-build")
     fi
 
-    echo "=== [5/7] msw-analyze (domain-specific static analysis) ==="
+    echo "=== [5/6] msw-analyze (domain-specific static analysis) ==="
     # The analyzer degrades to its built-in textual engine when libclang/
     # clang-query are absent; only a missing python3 skips the stage. The
     # build dir from stage 1 supplies compile_commands.json (and hosts
@@ -157,26 +156,7 @@ if [ "$quick" = "0" ]; then
         echo "python3 not found; skipping the msw-analyze stage."
     fi
 
-    echo "=== [6/7] server tail-latency smoke ==="
-    # The gate is the output *shape* (four systems, full percentile
-    # digests), not the numbers; MSW_BENCH_SECONDS keeps it short.
-    if command -v python3 >/dev/null 2>&1; then
-        if (cd "$repo/build-check" &&
-            MSW_BENCH_SECONDS="${MSW_BENCH_SECONDS:-1}" \
-                run ./bench/server_tail); then
-            if ! (cd "$repo/build-check" &&
-                  run python3 "$repo/tools/ci/check_server_tail.py" \
-                      BENCH_server_tail.json); then
-                failures+=("server-tail-shape")
-            fi
-        else
-            failures+=("server-tail")
-        fi
-    else
-        echo "python3 not found; skipping the server-tail smoke stage."
-    fi
-
-    echo "=== [7/7] perfbench self-test (benchmark output checks) ==="
+    echo "=== [6/6] perfbench self-test (benchmark output checks) ==="
     # About 12 s: builds perfbench_round into .bench_build/ and runs the
     # checksum, ledger and UAF-probe checks on all three workloads.
     if command -v python3 >/dev/null 2>&1; then
