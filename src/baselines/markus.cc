@@ -6,7 +6,6 @@
 namespace msw::baseline {
 
 using core::Stat;
-using quarantine::Entry;
 using sweep::Range;
 
 core::QuarantineRuntime::Config
@@ -136,32 +135,11 @@ MarkUs::run_mark()
     record_phase(Stat::kPhaseMarkNs, metrics::TraceEvent::kPhaseMark,
                  core::monotonic_ns() - mark_t0, scanned);
 
-    drain_phase();
-
-    // Phase 3: release unmarked quarantined allocations.
-    const std::uint64_t release_t0 = core::monotonic_ns();
-    std::vector<Entry> failed;
-    std::vector<Entry> releasable;
-    for (const Entry& e : locked_in_) {
-        if (mark_bits_.test(e.real_base()))
-            failed.push_back(e);
-        else
-            releasable.push_back(e);
-    }
-    // Entries whose accessibility cannot be restored land in `failed`
-    // too: kept quarantined and retried on the next pass rather than
-    // handed out inaccessible.
-    const core::Reclaimer::ReleaseTally released =
-        reclaimer_.release_entries(releasable.data(), releasable.size(),
-                                   &failed);
-    record_phase(Stat::kPhaseReleaseNs, metrics::TraceEvent::kPhaseRelease,
-                 core::monotonic_ns() - release_t0, released.entries);
-    const SweepTally tally{released.entries, released.bytes, failed.size()};
-
-    // MarkUs aggressively reclaims allocator free structures after a
-    // marking pass (the paper notes this need for large quarantines).
-    close_sweep(std::move(failed), /*purge=*/true, tally,
-                /*helper_cpu_ns=*/0);
+    // Phase 3: drain, release unmarked quarantined allocations and
+    // close. MarkUs aggressively reclaims allocator free structures after
+    // a marking pass (the paper notes this need for large quarantines):
+    // Config::purging stays on.
+    finish_sweep(/*helper_cpu_ns=*/0);
 }
 
 }  // namespace msw::baseline

@@ -17,9 +17,9 @@
  * the trigger formula, the out-of-memory ladder), extent hooks,
  * quarantine epochs, double-free bitmap, root/thread registration,
  * marker-thread lifecycle, deferred unmaps and the sweep frame around
- * the mark — lives in core::QuarantineRuntime; this class keeps only
- * what makes MarkUs MarkUs: the transitive mark, its release filter, the
- * purge after every pass and the trigger values (25 %, no unmapped
+ * the mark, the release phase included — lives in
+ * core::QuarantineRuntime; this class keeps only what makes MarkUs
+ * MarkUs: the transitive mark and the trigger values (25 %, no unmapped
  * trigger, no allocation pausing).
  *
  * Fidelity notes:

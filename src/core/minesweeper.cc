@@ -1,14 +1,11 @@
 #include "core/minesweeper.h"
 
-#include "alloc/policy.h"
 #include "core/lifecycle.h"
 #include "metrics/telemetry.h"
 #include "sweep/residency.h"
-#include "util/bits.h"
 
 namespace msw::core {
 
-using quarantine::Entry;
 using sweep::Range;
 
 QuarantineRuntime::Config
@@ -23,14 +20,18 @@ MineSweeper::make_config(const Options& opts)
     c.control.background = opts.mode != Mode::kSynchronous;
     c.control.watchdog_timeout_ms = opts.watchdog_timeout_ms;
     c.make_tracker = opts.mode == Mode::kMostlyConcurrent;
-    c.report_double_frees = opts.report_double_frees;
     c.sweep_threshold = opts.sweep_threshold;
     c.min_sweep_bytes = opts.min_sweep_bytes;
-    c.unmapped_factor = opts.unmapped_factor;
+    // Sweep once unmapped quarantine reaches nine times the committed
+    // footprint (§4.2).
+    c.unmapped_factor = 9.0;
     c.pause_factor = opts.pause_factor;
     c.alloc_retry_attempts = opts.alloc_retry_attempts;
     c.alloc_retry_backoff_us = opts.alloc_retry_backoff_us;
     c.quarantine_enabled = opts.quarantine_enabled;
+    c.sweep_enabled = opts.sweep_enabled;
+    c.keep_failed = opts.keep_failed;
+    c.purging = opts.purging;
     return c;
 }
 
@@ -38,9 +39,6 @@ MineSweeper::make_config(const Options& opts)
 // g_state init latch; never runs on the steady-state alloc/free path)
 MineSweeper::MineSweeper(const Options& opts)
     : QuarantineRuntime(make_config(opts), [this] { run_sweep(); }),
-      mark_(opts.sweep_enabled),
-      keep_failed_(opts.keep_failed),
-      purge_(opts.purging),
       marker_(&mark_bits_, jade_.reservation().base(),
               jade_.reservation().end())
 {
@@ -122,7 +120,7 @@ MineSweeper::run_sweep()
     const std::uint64_t helpers0 =
         workers_ != nullptr ? workers_->helper_cpu_ns() : 0;
 
-    if (mark_) {
+    if (config_.sweep_enabled) {
         arm_tracker();
         // Phase 1b (mark): concurrent linear mark of all scannable
         // memory, plus the STW recheck when tracking.
@@ -144,115 +142,11 @@ MineSweeper::run_sweep()
                      monotonic_ns() - mark_t0, scanned);
     }
 
-    drain_phase();
-
-    // Phase 3: walk the locked-in quarantine; release unmarked entries.
-    // Each worker collects the releasable entries of each ticket and
-    // hands them back in one Reclaimer::release_entries() call (one bin
-    // lock per slab); tallies stay worker-local until the join.
-    struct WorkerTally {
-        std::vector<Entry> failed;
-        std::uint64_t released = 0;
-        std::uint64_t released_bytes = 0;
-        std::uint64_t failed_count = 0;
-        std::uint64_t fill_checks = 0;
-        std::uint64_t fill_violations = 0;
-    };
-    const unsigned nworkers =
-        workers_ != nullptr ? workers_->count() : 1;
-    std::vector<WorkerTally> tallies(nworkers);
-    std::atomic<std::size_t> next{0};
-
-    // Hardened policy: audit the quarantine fill of every entry about to
-    // be released. A byte that changed while the block sat unreferenced
-    // in quarantine is a write-after-free. Needs the fill to have been
-    // written in the first place, hence the zeroing gate; unmapped
-    // entries have no bytes to audit.
-    const auto check_fill =
-        config_.reclaim.zeroing ? config_.policy->check_free_fill : nullptr;
-
-    auto release_job = [&](unsigned index) {
-        // Sweep context with restore on exit: index 0 runs on the
-        // *calling* thread, which for emergency and watchdog-fallback
-        // sweeps is a mutator whose own watchdog checks must survive.
-        SweepController::ScopedSweepContext scoped;
-        WorkerTally t;
-        constexpr std::size_t kBatch = alloc::JadeAllocator::kBatchWindow;
-        Entry releasable[kBatch];
-        for (;;) {
-            // msw-relaxed(work-cursor): batch ticket; only RMW
-            // atomicity matters, entries are read-only here.
-            const std::size_t start =
-                next.fetch_add(kBatch, std::memory_order_relaxed);
-            if (start >= locked_in_.size())
-                break;
-            const std::size_t end =
-                std::min(start + kBatch, locked_in_.size());
-            std::size_t nreleasable = 0;
-            for (std::size_t i = start; i < end; ++i) {
-                const Entry& e = locked_in_[i];
-                const bool marked =
-                    mark_ && mark_bits_.test_range(e.real_base(), e.usable);
-                if (marked) {
-                    ++t.failed_count;
-                    if (keep_failed_) {
-                        t.failed.push_back(e);
-                        continue;
-                    }
-                }
-                if (check_fill != nullptr && !e.unmapped) {
-                    ++t.fill_checks;
-                    const void* bad = check_fill(to_ptr(e.real_base()),
-                                                 e.usable);
-                    if (bad != nullptr) {
-                        ++t.fill_violations;
-                        alloc::policy_violation(
-                            "quarantined memory tampered before release",
-                            bad);
-                    }
-                }
-                releasable[nreleasable++] = e;
-            }
-            // Entries whose access could not be restored under pressure
-            // stay quarantined; a later sweep retries.
-            const std::size_t stuck = t.failed.size();
-            const Reclaimer::ReleaseTally r = reclaimer_.release_entries(
-                releasable, nreleasable, &t.failed);
-            t.failed_count += t.failed.size() - stuck;
-            t.released += r.entries;
-            t.released_bytes += r.bytes;
-        }
-        tallies[index] = std::move(t);
-    };
-    const std::uint64_t release_t0 = monotonic_ns();
-    if (workers_ != nullptr)
-        workers_->run(release_job);
-    else
-        release_job(0);
-    const std::uint64_t release_ns = monotonic_ns() - release_t0;
-
-    // The worker join published every worker's tally.
-    std::vector<Entry> failed;
-    WorkerTally sum;
-    for (WorkerTally& t : tallies) {
-        failed.insert(failed.end(), t.failed.begin(), t.failed.end());
-        sum.released += t.released;
-        sum.released_bytes += t.released_bytes;
-        sum.failed_count += t.failed_count;
-        sum.fill_checks += t.fill_checks;
-        sum.fill_violations += t.fill_violations;
-    }
-    record_phase(Stat::kPhaseReleaseNs, metrics::TraceEvent::kPhaseRelease,
-                 release_ns, sum.released);
-    stats_.add(Stat::kSweepFillChecks, sum.fill_checks);
-    stats_.add(Stat::kCanaryViolations, sum.fill_violations);
-
+    // Phase 3: drain, release and close on this thread; the helpers
+    // (§4.4) mark only.
     const std::uint64_t helpers1 =
         workers_ != nullptr ? workers_->helper_cpu_ns() : 0;
-    // §4.5: allocator purge synchronised with the end of the sweep.
-    close_sweep(std::move(failed), purge_,
-                {sum.released, sum.released_bytes, sum.failed_count},
-                helpers1 - helpers0);
+    finish_sweep(helpers1 - helpers0);
 }
 
 // ----------------------------------------------------- process lifecycle

@@ -27,9 +27,9 @@
  * decides *how* quarantined memory comes back, StatCells counts the fast
  * path without cache-line contention; the base also runs the mutator
  * path (alloc, free, the trigger, the out-of-memory ladder) MarkUs
- * shares. This class keeps the linear sweep (sweep::Marker with its
- * helper threads, the release filter and the Fig 15-17 sweep switches)
- * and the mapping of Options onto the base's Config.
+ * shares, and the sweep's drain, release and close. This class keeps
+ * the linear mark (sweep::Marker with its helper threads) and the
+ * mapping of Options onto the base's Config.
  */
 #pragma once
 
@@ -125,11 +125,6 @@ class MineSweeper final : public QuarantineRuntime
 
     static Config make_config(const Options& opts);
 
-    /** The sweep's own switches (Options::sweep_enabled, keep_failed,
-        purging: the Fig 15-17 ablations). */
-    const bool mark_;
-    const bool keep_failed_;
-    const bool purge_;
     sweep::Marker marker_;
     std::unique_ptr<sweep::SweepWorkers> workers_;
 

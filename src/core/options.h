@@ -9,8 +9,9 @@
  *    ablation of §5.4 (Figs 15-16);
  *  - quarantine_enabled / sweep_enabled / keep_failed: the "partial
  *    versions" of §5.5 (Fig 17);
- *  - sweep_threshold (15 %), unmapped_factor (9x) and the allocation-
- *    pausing backpressure: §3.2, §4.2, §5.7.
+ *  - sweep_threshold (15 %) and the allocation-pausing backpressure:
+ *    §3.2, §5.7 (the 9x unmapped trigger of §4.2 is fixed in
+ *    MineSweeper::make_config).
  */
 #pragma once
 
@@ -59,14 +60,9 @@ struct Options {
         last epoch left unused. */
     bool purging = true;
 
-    /** Helper sweep threads in addition to the main sweeper (§4.4). */
+    /** Helper threads marking beside the main sweeper (§4.4); the
+        release phase runs on the sweeping thread alone. */
     unsigned helper_threads = 6;
-
-    /**
-     * Sweep when unmapped quarantine exceeds this multiple of the
-     * program's committed footprint (§4.2: nine times).
-     */
-    double unmapped_factor = 9.0;
 
     /**
      * Pause allocations briefly when the quarantine exceeds this multiple
@@ -97,9 +93,6 @@ struct Options {
      * after the check (Fig 17 version 5). Unsafe; measurement only.
      */
     bool keep_failed = true;
-
-    /** Report double frees to stderr (the paper's debug mode, §3). */
-    bool report_double_frees = false;
 
     // --- Resilience under memory pressure ------------------------------
 

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "alloc/extent.h"
@@ -47,6 +48,15 @@ live_bytes(const alloc::JadeAllocator& jade, const quarantine::Quarantine& q)
 }
 
 }  // namespace
+
+// QuarantineRuntime's member layout is part of its speed: Quarantine
+// growing from 96 to 104 bytes shifted every later member by 8 bytes and
+// raised perfbench bulk's op_p50_ns by 8.5 % (DESIGN §6). Keep both sizes
+// unless an A/B perfbench run shows the new layout costs nothing.
+static_assert(sizeof(quarantine::Quarantine) == 96,
+              "QuarantineRuntime layout: Quarantine size changed");
+static_assert(sizeof(QuarantineRuntime::Config) == 144,
+              "QuarantineRuntime layout: Config size changed");
 
 /**
  * Extent hooks that keep the committed-page map exact: this is how sweeps
@@ -299,8 +309,6 @@ QuarantineRuntime::free_impl(void* ptr)
     // so testing it again on a double free would false-positive.
     if (quarantine_bitmap_.test_and_set(base)) {
         stats_.add(Stat::kDoubleFrees);
-        if (config_.report_double_frees)
-            MSW_LOG_WARN("double free of %p absorbed", ptr);
         return;
     }
 
@@ -520,35 +528,91 @@ QuarantineRuntime::stw_recheck(
 }
 
 void
-QuarantineRuntime::drain_phase()
+QuarantineRuntime::finish_sweep(std::uint64_t helper_cpu_ns)
 {
-    // Every entry a deferred unmap affects is still quarantined here, and
-    // its pages have been scanned.
-    const std::uint64_t t0 = monotonic_ns();
+    // Drain phase: every entry a deferred unmap affects is still
+    // quarantined here, and its pages have been scanned.
+    std::uint64_t t0 = monotonic_ns();
     reclaimer_.drain_pending();
     record_phase(Stat::kPhaseDrainNs, TraceEvent::kPhaseDrain,
                  monotonic_ns() - t0);
-}
 
-void
-QuarantineRuntime::close_sweep(std::vector<Entry> failed, bool purge,
-                               const SweepTally& tally,
-                               std::uint64_t helper_cpu_ns)
-{
+    // Release phase: walk the locked-in quarantine in windows of
+    // kBatchWindow entries and hand each window's releasable entries
+    // back in one Reclaimer::release_entries() call (one bin lock per
+    // slab). MarkUs marks only allocation bases, so the range test gives
+    // it the same answer as a test of the base.
+    //
+    // Hardened policy: audit the quarantine fill of every entry about to
+    // be released. A byte that changed while the block sat unreferenced
+    // in quarantine is a write-after-free. Needs the fill to have been
+    // written in the first place, hence the zeroing gate; unmapped
+    // entries have no bytes to audit.
+    const auto check_fill =
+        config_.reclaim.zeroing ? config_.policy->check_free_fill : nullptr;
+    t0 = monotonic_ns();
+    std::vector<Entry> failed;
+    Reclaimer::ReleaseTally released;
+    std::uint64_t failed_count = 0;
+    std::uint64_t fill_checks = 0;
+    std::uint64_t fill_violations = 0;
+    constexpr std::size_t kBatch = alloc::JadeAllocator::kBatchWindow;
+    Entry releasable[kBatch];
+    for (std::size_t start = 0; start < locked_in_.size(); start += kBatch) {
+        const std::size_t end = std::min(start + kBatch, locked_in_.size());
+        std::size_t nreleasable = 0;
+        for (std::size_t i = start; i < end; ++i) {
+            const Entry& e = locked_in_[i];
+            if (config_.sweep_enabled &&
+                mark_bits_.test_range(e.real_base(), e.usable)) {
+                ++failed_count;
+                if (config_.keep_failed) {
+                    failed.push_back(e);
+                    continue;
+                }
+            }
+            if (check_fill != nullptr && !e.unmapped) {
+                ++fill_checks;
+                const void* bad = check_fill(to_ptr(e.real_base()), e.usable);
+                if (bad != nullptr) {
+                    ++fill_violations;
+                    alloc::policy_violation(
+                        "quarantined memory tampered before release", bad);
+                }
+            }
+            releasable[nreleasable++] = e;
+        }
+        // Entries whose access could not be restored under pressure stay
+        // quarantined; a later sweep retries.
+        const std::size_t stuck = failed.size();
+        const Reclaimer::ReleaseTally r =
+            reclaimer_.release_entries(releasable, nreleasable, &failed);
+        failed_count += failed.size() - stuck;
+        released.entries += r.entries;
+        released.bytes += r.bytes;
+    }
+    record_phase(Stat::kPhaseReleaseNs, TraceEvent::kPhaseRelease,
+                 monotonic_ns() - t0, released.entries);
+    stats_.add(Stat::kSweepFillChecks, fill_checks);
+    stats_.add(Stat::kCanaryViolations, fill_violations);
+
+    // Close: keep the failed entries quarantined and end the epoch.
     mark_bits_.clear_marks();
     quarantine_.store_failed(std::move(failed));
     reclaimer_.end_scan();
-    // Purge what a whole epoch left unused, not what this release just
-    // emptied: the mutator would recommit those slabs within the epoch.
-    if (purge)
+    // §4.5: purge what a whole epoch left unused, not what this release
+    // just emptied: the mutator would recommit those slabs within the
+    // epoch.
+    if (config_.purging)
         jade_.purge_stale();
-    stats_.add(Stat::kEntriesReleased, tally.entries);
-    stats_.add(Stat::kBytesReleased, tally.bytes);
-    stats_.add(Stat::kFailedFrees, tally.failed);
+    stats_.add(Stat::kEntriesReleased, released.entries);
+    stats_.add(Stat::kBytesReleased, released.bytes);
+    stats_.add(Stat::kFailedFrees, failed_count);
     stats_.add(Stat::kSweepCpuNs,
                sweep::thread_cpu_ns() - sweep_cpu0_ns_ + helper_cpu_ns);
-    metrics::telemetry().trace_event(
-        TraceEvent::kSweepEnd, monotonic_ns() - sweep_t0_ns_, tally.entries);
+    metrics::telemetry().trace_event(TraceEvent::kSweepEnd,
+                                     monotonic_ns() - sweep_t0_ns_,
+                                     released.entries);
 }
 
 void

@@ -22,9 +22,9 @@
  * arm, free with its double-free de-dup, canary check and quarantine
  * insert, the sweep trigger and the out-of-memory ladder) and the frame
  * every sweep pass shares (open, dirty-scan, stop-the-world recheck,
- * drain, close). The derived classes keep only how a sweep finds
- * dangling pointers: the sweep function with its mark strategy and
- * release filter, and the Config values their options map onto.
+ * then drain, release and close in one call). The derived classes keep
+ * only how a sweep finds dangling pointers: the sweep function with its
+ * mark strategy, and the Config values their options map onto.
  */
 #pragma once
 
@@ -87,8 +87,6 @@ class QuarantineRuntime : public RuntimeBase
         SweepController::Config control{};
         /** Create a dirty tracker (mostly-concurrent marking). */
         bool make_tracker = false;
-        /** Report absorbed double frees to stderr (debug mode, §3). */
-        bool report_double_frees = false;
         /**
          * Allocation policy for the whole runtime (substrate placement,
          * quarantine fill/canary, release ordering). The constructor
@@ -119,9 +117,20 @@ class QuarantineRuntime : public RuntimeBase
         /** Backoff before each attempt, doubled per attempt (µs). */
         unsigned alloc_retry_backoff_us = 100;
 
+        // --- Sweep switches (the Fig 15-17 ablations) ----------------------
+
         /** False: free() forwards to the substrate after its zeroing or
             unmapping, quarantining nothing (Fig 17 versions 1-2). */
         bool quarantine_enabled = true;
+        /** False: the release phase ignores the mark bits and releases
+            every entry (Fig 17 versions 3-4); the sweep function skips
+            its mark. */
+        bool sweep_enabled = true;
+        /** False: entries found referenced are released anyway (Fig 17
+            version 5). Unsafe; measurement only. */
+        bool keep_failed = true;
+        /** Purge what the last epoch left unused after each sweep (§4.5). */
+        bool purging = true;
     };
 
     ~QuarantineRuntime() override;
@@ -214,22 +223,15 @@ class QuarantineRuntime : public RuntimeBase
     void stw_recheck(
         const std::function<void(const std::vector<sweep::Range>&)>& mark);
 
-    /** Drain phase: the deferred unmaps, once marking is done. */
-    void drain_phase();
-
-    /** What one pass released, and how many entries it found still
-        referenced (failed frees). */
-    struct SweepTally {
-        std::uint64_t entries = 0;
-        std::uint64_t bytes = 0;
-        std::uint64_t failed = 0;
-    };
-
-    /** Clear the marks, keep @p failed quarantined, end the epoch, purge
-        what the last epoch left unused if @p purge, then count @p tally
-        and the pass's CPU (+ @p helper_cpu_ns). */
-    void close_sweep(std::vector<quarantine::Entry> failed, bool purge,
-                     const SweepTally& tally, std::uint64_t helper_cpu_ns);
+    /**
+     * End the pass, on this thread: drain the deferred unmaps, release
+     * every locked-in entry with no marked granule (the release phase,
+     * with the hardened fill audit), keep the rest quarantined, clear the
+     * marks, end the epoch and, with Config::purging, purge what the last
+     * epoch left unused. Counts the pass and its CPU (+ @p helper_cpu_ns,
+     * the helpers' mark).
+     */
+    void finish_sweep(std::uint64_t helper_cpu_ns);
 
     /** Count @p ns in @p stat and trace @p event with it. */
     void record_phase(Stat stat, metrics::TraceEvent event, std::uint64_t ns,
@@ -251,7 +253,7 @@ class QuarantineRuntime : public RuntimeBase
      * controller's sweep token serializes.
      */
     std::vector<quarantine::Entry> locked_in_;
-    /** Clocks open_sweep() starts for close_sweep(). */
+    /** Clocks open_sweep() starts for finish_sweep(). */
     std::uint64_t sweep_t0_ns_ = 0;
     std::uint64_t sweep_cpu0_ns_ = 0;
 

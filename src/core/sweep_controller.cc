@@ -380,7 +380,14 @@ SweepController::execute_sweep(Runner runner)
         if (runner == Runner::kSweeper)
             watchdog_tripped_.store(false, std::memory_order_relaxed);
     }
-    sweep_fn_();
+    {
+        // Every pass runs as sweep machinery, whoever runs it: a mutator
+        // serving a fallback, forced or emergency sweep must not block
+        // in the pause gate or sweep again from its own allocations, and
+        // gets its own context back afterwards.
+        ScopedSweepContext scoped;
+        sweep_fn_();
+    }
     {
         MutexGuard g(sweep_mu_);
         // msw-relaxed(sweeper-token): written under sweep_mu_; waiters

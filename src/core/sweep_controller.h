@@ -8,10 +8,10 @@
  *
  * The controller owns *when* a sweep runs, never *what* it does: the
  * owning runtime passes a sweep function that performs one full pass
- * (mark + release + purge). execute_sweep() alone runs it, with the
- * single-sweep token held and no controller lock held, for the sweeper
- * thread, a mutator's watchdog/force/emergency fallback and synchronous
- * callers alike. Sweeps finish in the order they start, so every wait is
+ * (mark + release + purge). execute_sweep() alone runs it, in sweep
+ * context, with the single-sweep token held and no controller lock
+ * held, for the sweeper thread, a mutator's watchdog/force/emergency
+ * fallback and synchronous callers alike. Sweeps finish in the order they start, so every wait is
  * "until sweeps_done_ reaches ticket T" (or until its request is served).
  *
  * Invariants:
@@ -152,19 +152,21 @@ class SweepController
     }
 
     /**
-     * True on threads executing sweep machinery (the sweeper thread and
-     * helpers running release jobs). In the self-hosted deployment their
-     * internal allocations arrive through the interposed malloc; they must
-     * never block in the allocation-pausing backpressure they themselves
-     * are responsible for clearing.
+     * True on threads executing sweep machinery: the sweeper thread, and
+     * any thread while execute_sweep() runs the sweep function on it. In
+     * the self-hosted deployment their internal allocations arrive
+     * through the interposed malloc; they must never block in the
+     * allocation-pausing backpressure they themselves are responsible
+     * for clearing.
      */
     static bool in_sweep_context();
 
     /**
      * Mark the current scope as sweep machinery, restoring the previous
-     * state on exit: release jobs run worker index 0 on the *calling*
-     * thread, which for emergency and watchdog-fallback sweeps is a
-     * mutator whose own watchdog checks must survive the sweep.
+     * state on exit: execute_sweep() runs the sweep function on the
+     * *calling* thread, which for emergency, forced and watchdog-fallback
+     * sweeps is a mutator whose own watchdog checks must survive the
+     * sweep.
      */
     class ScopedSweepContext
     {
@@ -195,7 +197,7 @@ class SweepController
     /**
      * The only code that runs a sweep: fork/shutdown gate and token CAS;
      * under sweep_mu_ clear the request and heartbeat and take a start
-     * ticket; run sweep_fn_; take the done ticket, open the pause gate,
+     * ticket; run sweep_fn_ in sweep context; take the done ticket, open the pause gate,
      * release the token; notify. False if no sweep could start.
      */
     bool execute_sweep(Runner runner);

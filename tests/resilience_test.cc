@@ -304,7 +304,10 @@ TEST_F(ResilienceTest, DestructorRacesInFlightForceSweep)
         util::failpoint_reset_counters();
         util::failpoint_arm(Failpoint::kSweepDelay,
                             FailpointPolicy::burst(50));
-        std::thread t([&] { ms->force_sweep(); });
+        // The thread gets the raw pointer, never the unique_ptr that
+        // ms.reset() below writes.
+        MineSweeper* raw = ms.get();
+        std::thread t([raw] { raw->force_sweep(); });
         ASSERT_TRUE(wait_until(
             [] {
                 return util::failpoint_evaluations(Failpoint::kSweepDelay) >

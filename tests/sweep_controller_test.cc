@@ -255,6 +255,26 @@ TEST(SweepControllerTest, SweepContextThreadsNeverPause)
     ctl.wait_idle();
 }
 
+TEST(SweepControllerTest, SweepFunctionRunsInSweepContext)
+{
+    // A mutator running a sweep itself (forced, fallback or emergency)
+    // marks as sweep machinery for the whole pass, then gets its own
+    // context back.
+    StatCells stats;
+    SweepController::Config cfg;
+    cfg.background = false;
+    bool in_context = false;
+    SweepController ctl(
+        cfg, [&] { in_context = SweepController::in_sweep_context(); },
+        &stats);
+    ctl.start();
+
+    ASSERT_FALSE(SweepController::in_sweep_context());
+    ASSERT_TRUE(ctl.run_sweep_now());
+    EXPECT_TRUE(in_context);
+    EXPECT_FALSE(SweepController::in_sweep_context());
+}
+
 TEST(SweepControllerTest, ShutdownDrainsConcurrentControlCalls)
 {
     StatCells stats;
