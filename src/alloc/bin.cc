@@ -24,8 +24,7 @@ Bin::grab_slab_locked()
     if (slab == nullptr) {
         return nullptr;
     }
-    slab->cls = static_cast<std::uint16_t>(cls_);
-    slab->arena = arena_;
+    slab->set_cls(static_cast<std::uint16_t>(cls_));
     nonfull_.push_front(slab);
     return slab;
 }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Slab bins: one bin per (arena, size class).
+ * Slab bins: one bin per size class.
  *
  * A bin owns the slabs of its class. Slabs with at least one free slot sit
  * on the bin's nonfull list; full slabs are tracked only through the page
@@ -36,12 +36,10 @@ class Bin
         @p policy selects slot placement (see policy.h); null or a null
         choose_slot hook keeps the built-in first-fit scan. */
     void
-    init(ExtentAllocator* extents, unsigned cls, std::uint8_t arena_index,
-         const AllocPolicy* policy)
+    init(ExtentAllocator* extents, unsigned cls, const AllocPolicy* policy)
     {
         extents_ = extents;
         cls_ = cls;
-        arena_ = arena_index;
         policy_ = policy;
     }
 
@@ -91,7 +89,6 @@ class Bin
     ExtentList nonfull_ MSW_GUARDED_BY(lock_);
     ExtentMeta* cached_empty_ MSW_GUARDED_BY(lock_) = nullptr;
     unsigned cls_ = 0;
-    std::uint8_t arena_ = 0;
     const AllocPolicy* policy_ = nullptr;
 };
 

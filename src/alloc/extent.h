@@ -14,6 +14,7 @@
  */
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -37,6 +38,10 @@ enum class ExtentKind : std::uint8_t {
 /**
  * Out-of-line descriptor for one extent. Intrusively linkable into exactly
  * one list at a time (a bin's slab list or a free-list bucket).
+ *
+ * base, pages, kind and cls are also read without the extent lock, through
+ * the page map (JadeAllocator::lookup_relaxed). Writers, who hold the lock,
+ * store them only through the relaxed setters below.
  */
 struct ExtentMeta {
     std::uintptr_t base = 0;
@@ -57,8 +62,6 @@ struct ExtentMeta {
     ExtentKind kind = ExtentKind::kFree;
     /** Physical/access state: true once commit() has been issued. */
     bool committed = false;
-    /** Owning arena index (kSlab extents). */
-    std::uint8_t arena = 0;
     /** Size class for kSlab extents. */
     std::uint16_t cls = 0;
     /** Allocated-slot count for kSlab. */
@@ -66,6 +69,35 @@ struct ExtentMeta {
 
     /** Slot allocation bitmap for kSlab (bit set = slot allocated). */
     std::uint64_t slot_bits[kMaxSlabSlots / 64] = {};
+
+    void
+    set_base(std::uintptr_t v)
+    {
+        // msw-relaxed(page-map): written under the extent lock; the
+        // lock-free reader re-validates every field it reads.
+        std::atomic_ref(base).store(v, std::memory_order_relaxed);
+    }
+
+    void
+    set_pages(std::size_t v)
+    {
+        // msw-relaxed(page-map): as set_base().
+        std::atomic_ref(pages).store(v, std::memory_order_relaxed);
+    }
+
+    void
+    set_kind(ExtentKind v)
+    {
+        // msw-relaxed(page-map): as set_base().
+        std::atomic_ref(kind).store(v, std::memory_order_relaxed);
+    }
+
+    void
+    set_cls(std::uint16_t v)
+    {
+        // msw-relaxed(page-map): as set_base().
+        std::atomic_ref(cls).store(v, std::memory_order_relaxed);
+    }
 
     std::size_t
     bytes() const

@@ -135,8 +135,8 @@ ExtentAllocator::split_free(const ExtentMeta* from, std::uintptr_t base,
                             std::size_t pages)
 {
     ExtentMeta* piece = meta_pool_.alloc();
-    piece->base = base;
-    piece->pages = pages;
+    piece->set_base(base);
+    piece->set_pages(pages);
     // committed_bytes_ is unchanged by splits: both pieces inherit the
     // committed state, and the age, so a split never resets decay.
     piece->committed = from->committed;
@@ -148,7 +148,7 @@ ExtentAllocator::split_free(const ExtentMeta* from, std::uintptr_t base,
 void
 ExtentAllocator::link_free(ExtentMeta* e)
 {
-    e->kind = ExtentKind::kFree;
+    e->set_kind(ExtentKind::kFree);
     free_buckets_[bucket_for(e->pages)].push_front(e);
     mark_free_boundaries(e);
 }
@@ -207,12 +207,12 @@ ExtentAllocator::take_free_extent(std::size_t pages, std::size_t align_pages)
             if (aligned > e->base) {
                 const std::size_t head = (aligned - e->base) >> vm::kPageShift;
                 split_free(e, e->base, head);
-                e->base = aligned;
-                e->pages -= head;
+                e->set_base(aligned);
+                e->set_pages(e->pages - head);
             }
             if (e->pages > pages) {
                 split_free(e, e->base + want_bytes, e->pages - pages);
-                e->pages = pages;
+                e->set_pages(pages);
             }
             return e;
         }
@@ -254,19 +254,19 @@ ExtentAllocator::alloc_extent(std::size_t pages, ExtentKind kind,
         if (aligned > bump_) {
             // Turn the alignment gap into a free extent so it is reusable.
             ExtentMeta* gap = meta_pool_.alloc();
-            gap->base = bump_;
-            gap->pages = (aligned - bump_) >> vm::kPageShift;
+            gap->set_base(bump_);
+            gap->set_pages((aligned - bump_) >> vm::kPageShift);
             gap->committed = false;
             insert_free(gap);
         }
         e = meta_pool_.alloc();
-        e->base = aligned;
-        e->pages = pages;
+        e->set_base(aligned);
+        e->set_pages(pages);
         e->committed = false;
         bump_ = aligned + want_bytes;
         frontier_pages_ = (bump_ - heap_.base()) >> vm::kPageShift;
     }
-    e->kind = kind;
+    e->set_kind(kind);
     e->prev = nullptr;
     e->next = nullptr;
     e->used_slots = 0;
@@ -308,7 +308,7 @@ ExtentAllocator::free_extent_locked(ExtentMeta* e)
     MSW_DCHECK(active_bytes_ >= e->bytes());
     active_bytes_ -= e->bytes();
     unmap_extent_range(e);
-    e->kind = ExtentKind::kFree;
+    e->set_kind(ExtentKind::kFree);
 
     // Coalesce with the free neighbours coalescible() allows (it compares
     // epochs, so stamp e's first); the purge pass merges the others once
@@ -320,8 +320,8 @@ ExtentAllocator::free_extent_locked(ExtentMeta* e)
         if (coalescible(left, e)) {
             remove_free(left);
             unmap_extent_range(left);  // clears its two boundary entries
-            e->base = left->base;
-            e->pages += left->pages;
+            e->set_base(left->base);
+            e->set_pages(e->pages + left->pages);
             meta_pool_.free(left);
         }
     }
@@ -331,7 +331,7 @@ ExtentAllocator::free_extent_locked(ExtentMeta* e)
         if (coalescible(right, e)) {
             remove_free(right);
             unmap_extent_range(right);
-            e->pages += right->pages;
+            e->set_pages(e->pages + right->pages);
             meta_pool_.free(right);
         }
     }
@@ -410,8 +410,8 @@ ExtentAllocator::decay_pass_locked(Stale stale)
                         remove_free(e);
                         unmap_extent_range(left);
                         unmap_extent_range(e);
-                        e->base = left->base;
-                        e->pages += left->pages;
+                        e->set_base(left->base);
+                        e->set_pages(e->pages + left->pages);
                         meta_pool_.free(left);
                         link_free(e);
                     }
@@ -426,7 +426,7 @@ ExtentAllocator::decay_pass_locked(Stale stale)
                         remove_free(e);
                         unmap_extent_range(right);
                         unmap_extent_range(e);
-                        e->pages += right->pages;
+                        e->set_pages(e->pages + right->pages);
                         meta_pool_.free(right);
                         link_free(e);
                     }

@@ -57,10 +57,6 @@ SpinLock g_tcache_registry_lock{util::LockRank::kBinRegistry};
 
 }  // namespace
 
-struct JadeAllocator::Arena {
-    Bin* bins = nullptr;  // [num_classes_]
-};
-
 struct JadeAllocator::TCache {
     static constexpr unsigned kMaxCap = 32;
 
@@ -72,7 +68,6 @@ struct JadeAllocator::TCache {
     std::atomic<JadeAllocator*> owner{nullptr};
     TCache* reg_prev = nullptr;
     TCache* reg_next = nullptr;
-    std::uint8_t arena = 0;
     std::size_t alloc_size = 0;  // os_alloc size, for os_free
     Shard shards[1];             // [num_classes_], flexible
 
@@ -91,20 +86,10 @@ JadeAllocator::JadeAllocator(const Options& opts)
       policy_(&resolve_policy(opts.policy)),
       num_classes_(num_size_classes())
 {
-    MSW_CHECK(opts_.arenas >= 1 && opts_.arenas <= 64);
-    const std::size_t arena_bytes = sizeof(Arena) * opts_.arenas +
-                                    sizeof(Bin) * opts_.arenas * num_classes_;
-    char* mem = static_cast<char*>(os_alloc(arena_bytes));
-    arenas_ = reinterpret_cast<Arena*>(mem);
-    Bin* bins = reinterpret_cast<Bin*>(mem + sizeof(Arena) * opts_.arenas);
-    for (unsigned a = 0; a < opts_.arenas; ++a) {
-        new (&arenas_[a]) Arena();
-        arenas_[a].bins = bins + a * num_classes_;
-        for (unsigned c = 0; c < num_classes_; ++c) {
-            new (&arenas_[a].bins[c]) Bin();
-            arenas_[a].bins[c].init(&extents_, c,
-                                    static_cast<std::uint8_t>(a), policy_);
-        }
+    bins_ = static_cast<Bin*>(os_alloc(sizeof(Bin) * num_classes_));
+    for (unsigned c = 0; c < num_classes_; ++c) {
+        new (&bins_[c]) Bin();
+        bins_[c].init(&extents_, c, policy_);
     }
     MSW_CHECK(pthread_key_create(&tcache_key_, &tcache_destructor) == 0);
 }
@@ -137,25 +122,7 @@ JadeAllocator::~JadeAllocator()
         }
     }
     pthread_key_delete(tcache_key_);
-    const std::size_t arena_bytes = sizeof(Arena) * opts_.arenas +
-                                    sizeof(Bin) * opts_.arenas * num_classes_;
-    os_free(arenas_, arena_bytes);
-}
-
-Bin&
-JadeAllocator::bin_for(std::uint8_t arena, unsigned cls) const
-{
-    MSW_DCHECK(arena < opts_.arenas && cls < num_classes_);
-    return arenas_[arena].bins[cls];
-}
-
-unsigned
-JadeAllocator::arena_for_thread()
-{
-    // msw-relaxed(work-cursor): round-robin ticket; only RMW
-    // atomicity matters, the value orders nothing.
-    return next_arena_.fetch_add(1, std::memory_order_relaxed) %
-           opts_.arenas;
+    os_free(bins_, sizeof(Bin) * num_classes_);
 }
 
 // msw-analyze: slow-path(once per thread: creates the thread's cache)
@@ -168,7 +135,6 @@ JadeAllocator::make_tcache()
     // msw-relaxed(tcache-owner): cache not yet published; the registry
     // insert under the lock is what makes it visible.
     tc->owner.store(this, std::memory_order_relaxed);
-    tc->arena = static_cast<std::uint8_t>(arena_for_thread());
     tc->alloc_size = bytes;
     {
         LockGuard g(g_tcache_registry_lock);
@@ -226,10 +192,8 @@ void
 JadeAllocator::prepare_fork() MSW_NO_THREAD_SAFETY_ANALYSIS
 {
     g_tcache_registry_lock.lock();  // kBinRegistry (30)
-    for (unsigned a = 0; a < opts_.arenas; ++a) {
-        for (unsigned c = 0; c < num_classes_; ++c)
-            arenas_[a].bins[c].prepare_fork();  // kBin (32), bulk
-    }
+    for (unsigned c = 0; c < num_classes_; ++c)
+        bins_[c].prepare_fork();  // kBin (32), bulk
     extents_.prepare_fork();  // kExtent (40) -> kExtentMeta (42)
 }
 
@@ -237,10 +201,8 @@ void
 JadeAllocator::parent_after_fork() MSW_NO_THREAD_SAFETY_ANALYSIS
 {
     extents_.after_fork();
-    for (unsigned a = 0; a < opts_.arenas; ++a) {
-        for (unsigned c = 0; c < num_classes_; ++c)
-            arenas_[a].bins[c].after_fork();
-    }
+    for (unsigned c = 0; c < num_classes_; ++c)
+        bins_[c].after_fork();
     g_tcache_registry_lock.unlock();
 }
 
@@ -295,7 +257,7 @@ JadeAllocator::flush_shard(TCache* tc, unsigned cls, unsigned keep)
     for (unsigned i = 0; i < evict; ++i) {
         void* ptr = shard.objs[i];
         ExtentMeta* meta = extents_.lookup_live(to_addr(ptr));
-        bin_for(meta->arena, cls).free_one(ptr, meta);
+        bins_[cls].free_one(ptr, meta);
     }
     if (evict > 0 && shard.count > evict) {
         std::memmove(&shard.objs[0], &shard.objs[evict],
@@ -326,7 +288,7 @@ JadeAllocator::alloc(std::size_t size)
         if (shard.count == 0) {
             const unsigned fill = (shard_cap(cls) + 1) / 2;
             shard.count = static_cast<std::uint16_t>(
-                bin_for(tc->arena, cls).alloc_batch(shard.objs, fill));
+                bins_[cls].alloc_batch(shard.objs, fill));
         }
         if (shard.count == 0) {
             // msw-relaxed(stat-cells): statistics counter rollback.
@@ -346,7 +308,7 @@ JadeAllocator::alloc(std::size_t size)
         return shard.objs[--shard.count];
     }
     void* out = nullptr;
-    const unsigned got = bin_for(0, cls).alloc_batch(&out, 1);
+    const unsigned got = bins_[cls].alloc_batch(&out, 1);
     if (got != 1) {
         // msw-relaxed(stat-cells): statistics counter rollback.
         live_bytes_.fetch_sub(class_size(cls), std::memory_order_relaxed);
@@ -400,7 +362,7 @@ JadeAllocator::free(void* ptr)
         shard.objs[shard.count++] = ptr;
         return;
     }
-    bin_for(meta->arena, cls).free_one(ptr, meta);
+    bins_[cls].free_one(ptr, meta);
 }
 
 void
@@ -456,8 +418,8 @@ JadeAllocator::free_direct_window(void* const* ptrs, std::size_t n)
             grouped[end[group_of[i]]++] = ptrs[i];
     }
     for (std::size_t g = 0; g < groups; ++g) {
-        bin_for(slabs[g]->arena, slabs[g]->cls)
-            .free_batch(slabs[g], &grouped[end[g] - count[g]], count[g]);
+        bins_[slabs[g]->cls].free_batch(slabs[g], &grouped[end[g] - count[g]],
+                                        count[g]);
     }
     // The sweeper's stack is a scan root in the self-hosted deployment:
     // leave no raw block addresses behind for the next sweep to pin.
@@ -568,9 +530,12 @@ JadeAllocator::lookup_relaxed(std::uintptr_t addr, AllocationInfo* out) const
         return false;
     // Validate a racy snapshot of the metadata: a concurrent free/reuse
     // can hand us stale fields, so clamp everything before trusting it.
-    const ExtentKind kind = e->kind;
-    const std::uintptr_t base = e->base;
-    const std::size_t pages = e->pages;
+    // msw-relaxed(page-map): the snapshot; validated below.
+    const auto kind = std::atomic_ref(e->kind).load(std::memory_order_relaxed);
+    const auto base = std::atomic_ref(e->base).load(std::memory_order_relaxed);
+    // msw-relaxed(page-map): the snapshot; validated below.
+    const auto pages =
+        std::atomic_ref(e->pages).load(std::memory_order_relaxed);
     if (kind == ExtentKind::kFree)
         return false;
     if (!extents_.contains(base) || pages == 0 ||
@@ -586,7 +551,8 @@ JadeAllocator::lookup_relaxed(std::uintptr_t addr, AllocationInfo* out) const
         out->live = true;
         return true;
     }
-    const std::uint16_t cls = e->cls;
+    // msw-relaxed(page-map): validated against num_classes_ below.
+    const auto cls = std::atomic_ref(e->cls).load(std::memory_order_relaxed);
     if (cls >= num_classes_)
         return false;
     const std::size_t obj = class_size(cls);

@@ -40,8 +40,6 @@ class JadeAllocator final : public Allocator
         std::size_t heap_bytes = std::size_t{8} << 30;
         /** Free-extent decay before purging (0 = never purge by decay). */
         std::uint64_t decay_ms = 10000;
-        /** Number of arenas (bins are replicated per arena). */
-        unsigned arenas = 1;
         /** Enable per-thread caches. */
         bool enable_tcache = true;
         /**
@@ -169,7 +167,7 @@ class JadeAllocator final : public Allocator
     /**
      * atfork integration (called by core/lifecycle): prepare_fork()
      * acquires, in rank order, the process-wide tcache registry lock,
-     * every bin lock of every arena, and the extent + metadata-pool
+     * every bin lock, and the extent + metadata-pool
      * locks, so the child forks with the whole substrate consistent.
      * parent_after_fork()/child_after_fork() release them.
      * child_fixup() then adopts the thread caches of threads that did
@@ -185,15 +183,12 @@ class JadeAllocator final : public Allocator
 
   private:
     struct TCache;
-    struct Arena;
 
     TCache* get_tcache();
     TCache* make_tcache();
     void flush_shard(TCache* tc, unsigned cls, unsigned keep);
     void free_large(ExtentMeta* meta);
     void free_direct_window(void* const* ptrs, std::size_t n);
-    Bin& bin_for(std::uint8_t arena, unsigned cls) const;
-    unsigned arena_for_thread();
     static void tcache_destructor(void* arg);
 
     void* alloc_large(std::size_t size, std::size_t align_pages);
@@ -210,9 +205,8 @@ class JadeAllocator final : public Allocator
     /** Resolved from opts_.policy / MSW_POLICY; never null. */
     const AllocPolicy* policy_;
     unsigned num_classes_;
-    Arena* arenas_ = nullptr;  // [opts_.arenas], internally allocated
+    Bin* bins_ = nullptr;  // [num_classes_], internally allocated
     pthread_key_t tcache_key_{};
-    std::atomic<unsigned> next_arena_{0};
 
     // Written on every alloc/free, by mutators and by the sweep's
     // release: a cache line of their own (the class is 64-aligned, so

@@ -44,7 +44,7 @@ pthread_once_t g_atfork_once = PTHREAD_ONCE_INIT;
 // prepare) and the release (in parent/child) pair across the fork, so
 // the static analysis cannot follow them. The runtime lock-rank
 // validator still can: lock_rank_fork_begin() opens a window in which
-// bulk same-rank runs (every bin lock, every arena) are tolerated
+// bulk same-rank runs (every bin lock) are tolerated
 // while genuine inversions keep panicking.
 
 void

@@ -57,6 +57,13 @@ static_assert(sizeof(quarantine::Quarantine) == 96,
               "QuarantineRuntime layout: Quarantine size changed");
 static_assert(sizeof(QuarantineRuntime::Config) == 144,
               "QuarantineRuntime layout: Config size changed");
+// The substrate's layout under it: JadeAllocator keeps its hot counters
+// on a cache line of their own, and the metadata pool carves ExtentMeta
+// records on 64-byte boundaries, two lines each.
+static_assert(sizeof(alloc::JadeAllocator) == 1024,
+              "QuarantineRuntime layout: JadeAllocator size changed");
+static_assert(sizeof(alloc::ExtentMeta) == 128,
+              "QuarantineRuntime layout: ExtentMeta size changed");
 
 /**
  * Extent hooks that keep the committed-page map exact: this is how sweeps

@@ -14,7 +14,6 @@
  *  - MprotectTracker: the classic GC write barrier the paper describes as
  *    the "standard solution": pages are write-protected and a SIGSEGV
  *    handler records the first write to each. Used as the fallback.
- *  - NullTracker: no tracking; used by the fully concurrent mode.
  */
 #pragma once
 
@@ -63,15 +62,6 @@ class DirtyTracker
      * this is called so the result is exact.
      */
     virtual void end_collect(std::vector<Range>& out) = 0;
-};
-
-/** No-op tracker for the fully concurrent mode. */
-class NullTracker final : public DirtyTracker
-{
-  public:
-    const char* name() const override { return "null"; }
-    void begin(const std::vector<Range>&) override {}
-    void end_collect(std::vector<Range>&) override {}
 };
 
 /**

@@ -2,7 +2,7 @@
 """Golden-file test for the SARIF 2.1.0 writer (msw_sarif.py).
 
 Runs the analyzer over a hermetic mini tree that produces one finding
-from each engine tier — a declaration-shaped textual rule
+from each rule tier — a declaration-shaped textual rule
 (MSW-RAW-SYNC), an interprocedural reachability rule
 (MSW-SIGNAL-SAFE), and an atomics rule (MSW-ATOMIC-ORDER) — plus one
 baseline-suppressed finding, then compares the interesting SARIF
@@ -118,7 +118,6 @@ def produce_sarif():
         sarif_path = os.path.join(tmp, "out.sarif")
         proc = subprocess.run(
             [sys.executable, ANALYZE, "--root", tmp,
-             "--engine", "textual", "--no-cache",
              "--baseline", os.path.join(tmp, "baseline.txt"),
              "--sarif", sarif_path],
             capture_output=True, text=True)

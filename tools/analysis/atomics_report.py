@@ -30,10 +30,9 @@ def load_dump(args):
                                "msw_analyze.py")
         with tempfile.NamedTemporaryFile(suffix=".json") as tmp:
             subprocess.run(
-                [sys.executable, analyze, "--engine", "textual",
-                 "--dump-atomics", tmp.name,
-                 os.path.join(args.tree, "src")],
-                cwd=args.tree, stdout=subprocess.DEVNULL,
+                [sys.executable, analyze, "--root", args.tree,
+                 "--dump-atomics", tmp.name],
+                stdout=subprocess.DEVNULL,
                 stderr=subprocess.DEVNULL, check=False)
             with open(tmp.name, encoding="utf-8") as f:
                 return json.load(f)

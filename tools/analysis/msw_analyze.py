@@ -6,26 +6,14 @@ rests on: the LD_PRELOAD shim must never re-enter the allocator, every
 lock must respect the core -> quarantine -> bin -> extent -> vm ->
 metrics hierarchy, hot-path counters belong in StatCells, and
 pointer<->integer laundering is confined to the util/vm helpers. This
-tool encodes those rules as a rule pack and runs them over src/ using
-the best available engine:
-
-  libclang     python clang bindings + compile_commands.json (preferred)
-  clang-query  AST matchers via the clang-query binary
-  textual      built-in comment-aware lexical engine, no dependencies
-
-The textual engine is the reference implementation: every rule is fully
-implemented there, and the fixture self-test (--self-test) runs against
-it so results are reproducible on machines without clang. The libclang
-and clang-query engines *refine* the type-sensitive rules (raw-sync,
-stat-cells, pointer casts) and the call graph behind the
-interprocedural rules with real AST information when available, and
-fall back to the textual implementation for the rest. Forcing an engine
-that is unavailable exits 0 with a notice (mirroring tools/lint.sh's
-clang-tidy behaviour) so the default build never hard-depends on clang.
+tool encodes those rules as a rule pack and runs them over src/ with a
+comment-aware lexical engine that needs nothing beyond python3, so every
+run, in CI or on a laptop, gives the same result. The fixture self-test
+(--self-test) pins each rule's behaviour.
 
 Rules (see DESIGN.md section 10 for the catalogue):
 
-  per-line / per-file (textual reference, AST-refined when available):
+  per-line / per-file:
   MSW-REENTRANT-ALLOC  shim entry points must not reach allocating
                        constructs (std::vector growth, std::string,
                        iostream/locale, non-placement new, throw)
@@ -82,32 +70,25 @@ shrink to match reality. --update-baseline appends missing entries with
 a "TODO: justify" marker, which deliberately keeps the run red until a
 human writes the justification.
 
-Performance: per-file stripping/extraction results are cached in
-<build>/msw-analyze-cache.json keyed on file sha256 + a hash of the
-analyzer's own sources (see msw_cache); warm runs on an unchanged tree
-are sub-second. --sarif writes SARIF 2.1.0 for code-scanning upload;
---timings prints per-rule wall time.
+A run over the whole tree takes about a second. --sarif writes SARIF
+2.1.0 for code-scanning upload; --timings prints per-rule wall time.
 
-Exit codes: 0 clean (or graceful skip), 1 findings, 2 configuration
-error (malformed/unjustified/stale baseline, bad arguments).
+Exit codes: 0 clean, 1 findings, 2 configuration error
+(malformed/unjustified/stale baseline, bad arguments).
 """
 
 import argparse
-import hashlib
 import json
 import os
 import re
-import shutil
-import subprocess
 import sys
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from msw_common import (  # noqa: E402
-    Finding, SourceFile, Tree, _ALLOCATING_TOKENS, _SHIM_ENTRIES,
-    _match_delim, fingerprint, parse_enum, strip_code)
-import msw_cache  # noqa: E402
+    Finding, Tree, _ALLOCATING_TOKENS, _SHIM_ENTRIES, _match_delim,
+    fingerprint, parse_enum)
 import msw_graph  # noqa: E402
 import msw_sarif  # noqa: E402
 from msw_atomics import ATOMIC_RULES, AtomicsModel  # noqa: E402
@@ -186,7 +167,7 @@ def shim_files(tree):
 
 
 # --------------------------------------------------------------------------
-# Rule implementations (textual reference engine)
+# Rule implementations
 # --------------------------------------------------------------------------
 
 def _flag_reachable_allocs(sf, defs, entries, kind, findings):
@@ -542,284 +523,16 @@ def rule_description(rule_id):
     return (doc[:end + 1] if end >= 0 else doc).strip()
 
 
-# --------------------------------------------------------------------------
-# Engines
-# --------------------------------------------------------------------------
-
-class EngineUnavailable(Exception):
-    pass
+# SARIF names the engine that produced a run; there is one.
+ENGINE = "textual"
 
 
-class TextualEngine:
-    """Reference engine: comment-aware lexical analysis, no dependencies."""
-
-    name = "textual"
-
-    def analyze(self, tree, rules, program=None, atomics=None):
-        findings = []
-        for rule_id in rules:
-            if rule_id in INTERPROC_RULES:
-                if program is not None:
-                    findings.extend(
-                        INTERPROC_RULES[rule_id](tree, program))
-            elif rule_id in ATOMIC_RULES:
-                if atomics is not None:
-                    findings.extend(
-                        ATOMIC_RULES[rule_id](tree, atomics))
-            else:
-                findings.extend(RULES[rule_id](tree))
-        return findings
-
-
-class LibclangEngine(TextualEngine):
-    """AST-refined engine. Uses python clang bindings when importable;
-    replaces the type-sensitive rules (raw-sync, stat-cells, ptr-cast)
-    with cursor walks over real ASTs, refines the interprocedural call
-    graph via msw_graph.libclang_call_edges, and keeps the textual
-    reference implementation for the structural rules."""
-
-    name = "libclang"
-
-    def __init__(self, build_dir):
-        try:
-            import clang.cindex as cindex  # noqa: deferred import
-        except ImportError as e:
-            raise EngineUnavailable(f"python clang bindings: {e}")
-        self.cindex = cindex
-        if not cindex.Config.loaded:
-            import glob as _glob
-            for pat in ("/usr/lib/llvm-*/lib/libclang.so*",
-                        "/usr/lib/x86_64-linux-gnu/libclang-*.so*",
-                        "/usr/lib/libclang.so*"):
-                hits = sorted(_glob.glob(pat))
-                if hits:
-                    cindex.Config.set_library_file(hits[-1])
-                    break
-        try:
-            self.index = cindex.Index.create()
-        except Exception as e:  # library present but unloadable
-            raise EngineUnavailable(f"libclang library: {e}")
-        self.build_dir = build_dir
-        self._tu_cache = {}
-        self.compdb = None
-        if build_dir and os.path.isfile(
-                os.path.join(build_dir, "compile_commands.json")):
-            try:
-                self.compdb = cindex.CompilationDatabase.fromDirectory(
-                    build_dir)
-            except cindex.CompilationDatabaseError:
-                self.compdb = None
-
-    _AST_RULES = {"MSW-RAW-SYNC", "MSW-STAT-CELLS", "MSW-UB-PTR-CAST"}
-
-    def analyze(self, tree, rules, program=None, atomics=None):
-        textual = [r for r in rules if r not in self._AST_RULES]
-        findings = super().analyze(tree, textual, program, atomics)
-        ast_rules = [r for r in rules if r in self._AST_RULES]
-        if ast_rules:
-            try:
-                findings.extend(self._analyze_ast(tree, ast_rules))
-            except Exception as e:  # never let AST bugs hide findings
-                sys.stderr.write(
-                    f"msw-analyze: libclang pass failed ({e}); falling "
-                    "back to the textual implementation for "
-                    f"{', '.join(ast_rules)}\n")
-                findings.extend(
-                    TextualEngine.analyze(self, tree, ast_rules))
-        return findings
-
-    def _args_for(self, path):
-        if self.compdb is not None:
-            cmds = self.compdb.getCompileCommands(path)
-            if cmds:
-                args = list(cmds[0].arguments)[1:]
-                # Drop the output/input clauses; keep -I/-D/-std.
-                out = []
-                skip = False
-                for a in args:
-                    if skip:
-                        skip = False
-                        continue
-                    if a in ("-o", "-c"):
-                        skip = a == "-o"
-                        continue
-                    if a == path or a.endswith(os.path.basename(path)):
-                        continue
-                    out.append(a)
-                return out
-        return ["-std=c++20", "-I" + os.path.join(tree_root_of(path))]
-
-    def _parse(self, path):
-        tu = self._tu_cache.get(path)
-        if tu is None:
-            tu = self.index.parse(path, args=self._args_for(path))
-            self._tu_cache[path] = tu
-        return tu
-
-    def _analyze_ast(self, tree, rules):
-        cindex = self.cindex
-        findings = []
-        seen = set()
-        units = [sf for sf in tree.src if sf.rel.endswith((".cc", ".cpp"))]
-        headers = {sf.path: sf for sf in tree.src}
-        for sf in units:
-            tu = self._parse(sf.path)
-            for cur in tu.cursor.walk_preorder():
-                loc = cur.location
-                if loc.file is None:
-                    continue
-                fpath = os.path.realpath(loc.file.name)
-                hit = headers.get(fpath)
-                if hit is None:
-                    continue
-                key = (hit.rel, loc.line, cur.kind, cur.spelling)
-                if key in seen:
-                    continue
-                if "MSW-RAW-SYNC" in rules and \
-                        not hit.rel.startswith("src/util/") and \
-                        cur.kind in (cindex.CursorKind.FIELD_DECL,
-                                     cindex.CursorKind.VAR_DECL):
-                    t = cur.type.spelling
-                    if _RAW_SYNC_RE.search(t):
-                        seen.add(key)
-                        findings.append(Finding(
-                            "MSW-RAW-SYNC", hit.rel, loc.line,
-                            f"raw synchronisation type '{t}' (libclang); "
-                            "use the ranked msw:: wrappers"))
-                if "MSW-STAT-CELLS" in rules and \
-                        hit.rel.startswith(("src/core/", "src/alloc/")) and \
-                        not os.path.basename(hit.rel).startswith(
-                            "stat_cells") and \
-                        cur.kind == cindex.CursorKind.FIELD_DECL:
-                    t = cur.type.spelling
-                    if (t.startswith("std::atomic<") and "bool" not in t and
-                            _COUNTER_NAME_RE.search(cur.spelling or "")):
-                        seen.add(key)
-                        findings.append(Finding(
-                            "MSW-STAT-CELLS", hit.rel, loc.line,
-                            f"atomic counter member '{cur.spelling}' "
-                            "(libclang); route it through "
-                            "core::StatCells"))
-                if "MSW-UB-PTR-CAST" in rules and \
-                        not hit.rel.startswith(("src/util/", "src/vm/")) and \
-                        cur.kind == cindex.CursorKind.CXX_REINTERPRET_CAST_EXPR:
-                    dst = cur.type
-                    kids = list(cur.get_children())
-                    src_t = kids[0].type if kids else None
-                    def is_int(t):
-                        return t is not None and \
-                            t.get_canonical().kind.name.startswith(
-                                ("UINT", "INT", "ULONG", "LONG", "USHORT",
-                                 "SHORT", "ULONGLONG", "LONGLONG"))
-                    def is_ptr(t):
-                        return t is not None and \
-                            t.get_canonical().kind == \
-                            cindex.TypeKind.POINTER
-                    if (is_ptr(dst) and is_int(src_t)) or \
-                            (is_int(dst) and is_ptr(src_t)):
-                        seen.add(key)
-                        findings.append(Finding(
-                            "MSW-UB-PTR-CAST", hit.rel, loc.line,
-                            "pointer<->integer reinterpret_cast "
-                            "(libclang); use msw::to_addr()/"
-                            "to_ptr()/to_ptr_of<T>()"))
-        return findings
-
-
-class ClangQueryEngine(TextualEngine):
-    """clang-query fallback: AST matchers refine the declaration-shaped
-    rules; everything else uses the textual reference implementation."""
-
-    name = "clang-query"
-
-    _MATCHERS = [
-        ("MSW-RAW-SYNC",
-         'match fieldDecl(hasType(cxxRecordDecl(matchesName('
-         '"^::std::(mutex|condition_variable$|lock_guard|unique_lock)"))))'),
-        ("MSW-RAW-SYNC",
-         'match varDecl(hasType(cxxRecordDecl(matchesName('
-         '"^::std::(mutex|condition_variable$|lock_guard|unique_lock)"))))'),
-    ]
-
-    def __init__(self, build_dir):
-        self.binary = shutil.which("clang-query")
-        if self.binary is None:
-            raise EngineUnavailable("clang-query not found on PATH")
-        self.build_dir = build_dir
-        if not (build_dir and os.path.isfile(
-                os.path.join(build_dir, "compile_commands.json"))):
-            raise EngineUnavailable(
-                "clang-query needs a build dir with compile_commands.json "
-                "(pass --build)")
-
-    def analyze(self, tree, rules, program=None, atomics=None):
-        findings = super().analyze(
-            tree, [r for r in rules if r != "MSW-RAW-SYNC"], program,
-            atomics)
-        if "MSW-RAW-SYNC" not in rules:
-            return findings
-        units = [sf.path for sf in tree.src
-                 if sf.rel.endswith((".cc", ".cpp"))
-                 and not sf.rel.startswith("src/util/")]
-        cmds = "\n".join(q for _r, q in self._MATCHERS) + "\n"
-        seen = set()
-        try:
-            proc = subprocess.run(
-                [self.binary, "-p", self.build_dir] + units,
-                input=cmds, capture_output=True, text=True, timeout=600)
-            for line in proc.stdout.splitlines():
-                m = re.match(r"^(/\S+?):(\d+):\d+:", line.strip())
-                if not m:
-                    continue
-                path = os.path.realpath(m.group(1))
-                for sf in tree.src:
-                    if os.path.realpath(sf.path) == path and \
-                            not sf.rel.startswith("src/util/"):
-                        key = (sf.rel, int(m.group(2)))
-                        if key not in seen:
-                            seen.add(key)
-                            findings.append(Finding(
-                                "MSW-RAW-SYNC", sf.rel, int(m.group(2)),
-                                "raw synchronisation primitive "
-                                "(clang-query); use the ranked msw:: "
-                                "wrappers"))
-        except Exception as e:
-            sys.stderr.write(
-                f"msw-analyze: clang-query pass failed ({e}); using the "
-                "textual implementation for MSW-RAW-SYNC\n")
-            findings.extend(
-                TextualEngine.analyze(self, tree, ["MSW-RAW-SYNC"]))
-        return findings
-
-
-def tree_root_of(path):
-    d = os.path.dirname(os.path.abspath(path))
-    while d != "/":
-        if os.path.isdir(os.path.join(d, "src")):
-            return d
-        d = os.path.dirname(d)
-    return os.path.dirname(path)
-
-
-def make_engine(kind, build_dir):
-    """Returns (engine, notice). Raises EngineUnavailable only when a
-    specific engine was forced and cannot run."""
-    if kind == "textual":
-        return TextualEngine(), None
-    if kind == "libclang":
-        return LibclangEngine(build_dir), None
-    if kind == "clang-query":
-        return ClangQueryEngine(build_dir), None
-    # auto: best available, never fails.
-    try:
-        return LibclangEngine(build_dir), None
-    except EngineUnavailable as e1:
-        try:
-            return ClangQueryEngine(build_dir), None
-        except EngineUnavailable as e2:
-            return TextualEngine(), (
-                f"libclang unavailable ({e1}); clang-query unavailable "
-                f"({e2}); using the built-in textual engine")
+def run_rule(rule_id, tree, program, atomics):
+    if rule_id in INTERPROC_RULES:
+        return INTERPROC_RULES[rule_id](tree, program)
+    if rule_id in ATOMIC_RULES:
+        return ATOMIC_RULES[rule_id](tree, atomics)
+    return RULES[rule_id](tree)
 
 
 # --------------------------------------------------------------------------
@@ -874,7 +587,7 @@ class Baseline:
         return False
 
     def stale(self, active_rules=None, active_paths=None):
-        """Unmatched entries; with a --rules subset or a positional
+        """Unmatched entries; with a --rule subset or a positional
         path scope, entries for rules/paths that did not run are
         unknown rather than stale."""
         unmatched = set(self.entries) - self.matched
@@ -903,59 +616,39 @@ def _in_paths(rel, paths):
 # Driver
 # --------------------------------------------------------------------------
 
-def analyzer_source_hash():
-    """Hash of the analyzer's own sources: any edit to tools/analysis
-    invalidates the incremental cache wholesale."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    h = hashlib.sha256()
-    for name in sorted(os.listdir(here)):
-        if name.endswith(".py"):
-            with open(os.path.join(here, name), "rb") as f:
-                h.update(name.encode())
-                h.update(f.read())
-    return h.hexdigest()
-
-
-def analyze_root(root, engine, rules, baseline_path, build=None,
-                 cache=None, timings=None, paths=None,
+def analyze_root(root, rules, baseline_path, timings=None, paths=None,
                  want_atomics_model=False):
-    """Returns (kept_findings, baseline, config_errors[, model]). Stale
-    baseline entries are config errors: a suppression that matches
+    """Returns (kept_findings, baseline, config_errors, atomics_model).
+    Stale baseline entries are config errors: a suppression that matches
     nothing must be removed, or the baseline rots into an
     allow-everything list. @p paths optionally scopes findings (and the
     staleness check) to repo-relative prefixes."""
     t0 = time.perf_counter()
-    tree = Tree(root, cache)
+    tree = Tree(root)
     baseline = Baseline(baseline_path)
     if baseline.errors:
-        if want_atomics_model:
-            return [], baseline, baseline.errors, None
-        return [], baseline, baseline.errors
+        return [], baseline, baseline.errors, None
     if timings is not None:
         timings["<tree>"] = time.perf_counter() - t0
 
     program = None
     if any(r in INTERPROC_RULES for r in rules):
         t0 = time.perf_counter()
-        program = msw_graph.Program(tree, cache)
-        if isinstance(engine, LibclangEngine) and build:
-            precise = msw_graph.libclang_call_edges(program, build)
-            if precise:
-                program.apply_precise_edges(precise)
+        program = msw_graph.Program(tree)
         if timings is not None:
             timings["<call-graph>"] = time.perf_counter() - t0
 
     atomics = None
     if want_atomics_model or any(r in ATOMIC_RULES for r in rules):
         t0 = time.perf_counter()
-        atomics = AtomicsModel(tree, cache)
+        atomics = AtomicsModel(tree)
         if timings is not None:
             timings["<atomics>"] = time.perf_counter() - t0
 
     findings = []
     for rule_id in rules:
         t0 = time.perf_counter()
-        findings.extend(engine.analyze(tree, [rule_id], program, atomics))
+        findings.extend(run_rule(rule_id, tree, program, atomics))
         if timings is not None:
             timings[rule_id] = time.perf_counter() - t0
     findings = sorted({f.key(): f for f in findings}.values(),
@@ -975,9 +668,7 @@ def analyze_root(root, engine, rules, baseline_path, build=None,
             f"stale suppression {key[0]}|{key[1]}|{key[2]} no longer "
             "matches any finding; remove stale suppression from "
             f"{baseline.path}")
-    if want_atomics_model:
-        return kept, baseline, errors, atomics
-    return kept, baseline, errors
+    return kept, baseline, errors, atomics
 
 
 def run_self_test(fixtures_dir, rules):
@@ -989,8 +680,6 @@ def run_self_test(fixtures_dir, rules):
             f"msw-analyze: no fixture cases under {fixtures_dir}\n")
         return 2
     failures = 0
-    engine = TextualEngine()  # fixtures are engine-independent; the
-    # textual engine is the reference and runs everywhere
     for case in cases:
         root = os.path.join(fixtures_dir, case)
         with open(os.path.join(root, "expect.txt"), encoding="utf-8") as f:
@@ -998,13 +687,13 @@ def run_self_test(fixtures_dir, rules):
                             if ln.strip() and not ln.startswith("#")]
         baseline = os.path.join(root, "baseline.txt")
         baseline = baseline if os.path.isfile(baseline) else None
-        kept, bl, errors = analyze_root(root, engine, rules, baseline)
+        kept, bl, errors, _ = analyze_root(root, rules, baseline)
         got = sorted({f.rule for f in kept})
         # Every case doubles as a SARIF writer regression test: the
         # emitted document (suppression records included) must pass the
         # structural validator.
         doc = msw_sarif.to_sarif(
-            kept, [(r, rule_description(r)) for r in rules], engine.name,
+            kept, [(r, rule_description(r)) for r in rules], ENGINE,
             TOOL_VERSION, suppressed=bl.suppressed_findings)
         sarif_problems = msw_sarif.validate(doc)
         if expect_lines == ["exit:2"]:
@@ -1037,8 +726,6 @@ def rule_tier(rule_id):
         return "interprocedural"
     if rule_id in ATOMIC_RULES:
         return "atomics"
-    if rule_id in LibclangEngine._AST_RULES:
-        return "ast-refined"
     return "textual"
 
 
@@ -1050,17 +737,10 @@ def main():
     default_root = os.path.dirname(os.path.dirname(script_dir))
     ap.add_argument("--root", default=default_root,
                     help="analysis root containing src/ (default: repo)")
-    ap.add_argument("--build", "-p", default=None,
-                    help="build dir with compile_commands.json (for the "
-                         "libclang/clang-query engines and the cache)")
-    ap.add_argument("--engine", default="auto",
-                    choices=["auto", "libclang", "clang-query", "textual"])
-    ap.add_argument("--rules", default=None,
-                    help="comma-separated rule subset (default: all)")
     ap.add_argument("--rule", action="append", default=[],
                     metavar="ID[,ID...]",
                     help="run specific rule(s) (repeatable, accepts "
-                    "comma lists; combines with --rules)")
+                    "comma lists; default: all)")
     ap.add_argument("--baseline", default=None,
                     help="suppression baseline (default: "
                          "tools/analysis/baseline.txt under --root)")
@@ -1068,8 +748,6 @@ def main():
                     help="write SARIF 2.1.0 to PATH (for code scanning)")
     ap.add_argument("--timings", action="store_true",
                     help="print per-rule wall time")
-    ap.add_argument("--no-cache", action="store_true",
-                    help="disable the per-file incremental cache")
     ap.add_argument("--self-test", metavar="FIXTURES_DIR",
                     help="run the fixture self-test and exit")
     ap.add_argument("--list-rules", action="store_true",
@@ -1089,8 +767,6 @@ def main():
 
     rules = list(ALL_RULES)
     selected = []
-    if args.rules:
-        selected += [r.strip() for r in args.rules.split(",") if r.strip()]
     for part in args.rule:
         selected += [r.strip() for r in part.split(",") if r.strip()]
     if selected:
@@ -1102,29 +778,13 @@ def main():
         rules = [r for r in ALL_RULES if r in selected]
 
     root = os.path.abspath(args.root)
-    build = args.build
-    if build is None:
-        for cand in ("build", "build-check"):
-            if os.path.isfile(os.path.join(root, cand,
-                                           "compile_commands.json")):
-                build = os.path.join(root, cand)
-                break
 
     if args.list_rules:
-        # Machine-readable: id, description, tier, and the engine that
-        # would actually run under the requested --engine setting.
-        try:
-            engine, _notice = make_engine(args.engine, build)
-            engine_name = engine.name
-        except EngineUnavailable:
-            engine_name = "unavailable"
+        # Machine-readable: id, description, tier.
         catalogue = [{
             "id": rule_id,
             "description": rule_description(rule_id),
             "tier": rule_tier(rule_id),
-            "engine": ("textual" if rule_tier(rule_id)
-                       == "interprocedural" and engine_name
-                       == "clang-query" else engine_name),
         } for rule_id in rules]
         json.dump(catalogue, sys.stdout, indent=2)
         sys.stdout.write("\n")
@@ -1137,36 +797,14 @@ def main():
         sys.stderr.write(f"msw-analyze: no src/ under {root}\n")
         return 2
 
-    try:
-        engine, notice = make_engine(args.engine, build)
-    except EngineUnavailable as e:
-        # Mirrors tools/lint.sh: a forced-but-missing toolchain is a
-        # skip with a notice, never a failure of the default build.
-        print(f"msw-analyze: engine '{args.engine}' unavailable ({e}); "
-              "skipping (not a failure).")
-        print("msw-analyze: run with --engine auto to use the built-in "
-              "textual engine instead.")
-        return 0
-    if notice:
-        sys.stderr.write(f"msw-analyze: {notice}\n")
-
-    cache = None
-    if build and not args.no_cache:
-        cache = msw_cache.AnalysisCache(
-            os.path.join(build, "msw-analyze-cache.json"),
-            analyzer_source_hash())
-
     baseline_path = args.baseline or os.path.join(
         root, "tools", "analysis", "baseline.txt")
     timings = {} if args.timings else None
     t_total = time.perf_counter()
     kept, baseline, errors, atomics = analyze_root(
-        root, engine, rules, baseline_path, build=build, cache=cache,
-        timings=timings, paths=args.paths or None,
-        want_atomics_model=True)
+        root, rules, baseline_path, timings=timings,
+        paths=args.paths or None, want_atomics_model=True)
     t_total = time.perf_counter() - t_total
-    if cache:
-        cache.save()
     for e in errors:
         sys.stderr.write(f"msw-analyze: error: {e}\n")
     if errors:
@@ -1187,7 +825,7 @@ def main():
 
     if args.sarif:
         doc = msw_sarif.to_sarif(
-            kept, [(r, rule_description(r)) for r in rules], engine.name,
+            kept, [(r, rule_description(r)) for r in rules], ENGINE,
             TOOL_VERSION, suppressed=baseline.suppressed_findings)
         problems = msw_sarif.validate(doc)
         if problems:
@@ -1204,10 +842,6 @@ def main():
                                   key=lambda kv: -kv[1]):
             print(f"msw-analyze timing: {rule_id:<22s} {dt * 1e3:8.1f} ms")
         print(f"msw-analyze timing: {'total':<22s} {t_total * 1e3:8.1f} ms")
-        if cache:
-            print(f"msw-analyze timing: cache {cache.hits} hit(s), "
-                  f"{cache.misses} miss(es); facts {cache.fact_hits} "
-                  f"hit(s), {cache.fact_misses} miss(es)")
 
     if args.update_baseline and kept:
         tree = Tree(root)
@@ -1221,7 +855,7 @@ def main():
               f"{baseline_path}; runs stay red until justified")
 
     n_sup = len(baseline.matched)
-    print(f"msw-analyze [{engine.name}]: {len(kept)} finding(s), "
+    print(f"msw-analyze [{ENGINE}]: {len(kept)} finding(s), "
           f"{n_sup} suppressed by baseline, {len(rules)} rule(s)")
     return 1 if kept else 0
 

@@ -7,15 +7,15 @@ threads. TSan only sees orders that execute; this pass checks the
 memory-order *discipline* statically, against the protocol catalogue
 the design doc declares.
 
-The model is built from the stripped sources (textual engine; the
-atomics rules have no AST refinement — the accesses this codebase uses
-are syntactically regular):
+The model is built from the stripped sources (the accesses this
+codebase uses are syntactically regular):
 
   * every `std::atomic<T>` field/global/local declaration (including
     pointer-to-atomic members like the shadow-map word arrays);
   * every access site — `.load/.store/.exchange/.fetch_*/
-    .compare_exchange_{weak,strong}` members and the `__atomic_*`
-    builtins — with its memory orders (success and failure for CAS),
+    .compare_exchange_{weak,strong}` members (of an atomic, or of a
+    `std::atomic_ref<T>(obj)` over a plain field, keyed by the field's
+    name) and the `__atomic_*` builtins — with its memory orders (success and failure for CAS),
     or the fact that the order was *defaulted* to seq_cst;
   * every `std::atomic_thread_fence` site;
   * CAS-loop shapes (loop spans, expected-variable refresh);
@@ -100,6 +100,10 @@ _MEMBER_ACCESS_RE = re.compile(
 _RESULT_ACCESS_RE = re.compile(
     r"([A-Za-z_]\w*)\s*\(\s*\)\s*\.\s*(" + "|".join(_MEMBER_OPS) +
     r")\s*\(")
+# `std::atomic_ref[<T>](obj).op(...)`: an atomic access to a plain field.
+_ATOMIC_REF_RE = re.compile(r"\batomic_ref\b(?:\s*<[^;(){}]*>)?\s*\(")
+_REF_OP_RE = re.compile(
+    r"\s*\.\s*(" + "|".join(_MEMBER_OPS) + r")\s*\(")
 _BUILTIN_RE = re.compile(
     r"__atomic_(load_n|load|store_n|store|exchange_n|exchange|"
     r"fetch_add|fetch_sub|fetch_and|fetch_or|fetch_xor|"
@@ -240,7 +244,7 @@ def _decl_sites(sf):
 
 
 def extract_atomics_facts(sf):
-    """Cacheable per-file atomics model fragment."""
+    """Per-file atomics model fragment."""
     code = sf.code
     anns = _collect_annotations(sf)
     loops = _loop_spans(code)
@@ -289,6 +293,7 @@ def extract_atomics_facts(sf):
             "defaulted": not orders,
             "in_loop": in_loop, "expected": expected_var,
             "refreshed": refreshed,
+            "ref": False,
             "ann": annotation_for(
                 "cas" if op in _CAS_OPS or
                 op.startswith("compare_exchange") else "relaxed",
@@ -303,6 +308,19 @@ def extract_atomics_facts(sf):
             continue
         claimed.add(open_p)
         record(m.group(1), m.group(2), open_p, close_p, m.start())
+    for m in _ATOMIC_REF_RE.finditer(code):
+        ref_open = m.end() - 1
+        ref_close = _match_delim(code, ref_open, "(", ")")
+        op = _REF_OP_RE.match(code, ref_close + 1) if ref_close > 0 \
+            else None
+        if op is None:
+            continue
+        names = re.findall(r"[A-Za-z_]\w*", code[ref_open:ref_close])
+        open_p = op.end() - 1
+        close_p = _match_delim(code, open_p, "(", ")")
+        if names and close_p >= 0:
+            record(names[-1], op.group(1), open_p, close_p, m.start())
+            accesses[-1]["ref"] = True
     for m in _RESULT_ACCESS_RE.finditer(code):
         open_p = code.index("(", m.end() - 1)
         close_p = _match_delim(code, open_p, "(", ")")
@@ -342,7 +360,6 @@ def extract_atomics_facts(sf):
         })
 
     return {
-        "v": ATOMIC_FACTS_VERSION,
         "decls": _decl_sites(sf),
         "accesses": accesses,
         "fences": fences,
@@ -398,17 +415,9 @@ class AtomicsModel:
     """Whole-tree atomics inventory: declarations, accesses, fences,
     and the declared protocol catalogue, keyed for the three rules."""
 
-    def __init__(self, tree, cache=None):
+    def __init__(self, tree):
         self.tree = tree
-        self.facts = {}
-        for sf in tree.src:
-            key = getattr(sf, "closure_sha", sf.sha)
-            facts = cache.get_atomics(sf.rel, key) if cache else None
-            if facts is None or facts.get("v") != ATOMIC_FACTS_VERSION:
-                facts = extract_atomics_facts(sf)
-                if cache:
-                    cache.put_atomics(sf.rel, key, facts)
-            self.facts[sf.rel] = facts
+        self.facts = {sf.rel: extract_atomics_facts(sf) for sf in tree.src}
         self.protocols = parse_protocol_table(tree.design)
         self._link()
 
@@ -428,7 +437,7 @@ class AtomicsModel:
                 orders = a["orders"]
                 success = orders[0] if orders else None
                 op = a["op"]
-                if success is None:
+                if success is None or a["ref"]:
                     continue
                 is_rmw = op not in ("load", "store")
                 if (op != "load" and success in _RELEASE_SIDE) and \
@@ -556,7 +565,10 @@ def rule_atomic_order(tree, model):
                 used_protocols.add(a["ann"][1])
             success = orders[0]
             var = a["var"]
-            if var not in model.decl_names or var in flagged_orphans:
+            # Pairing is checked per declared atomic; a field reached
+            # through atomic_ref is not one, whatever its name.
+            if a["ref"] or var not in model.decl_names or \
+                    var in flagged_orphans:
                 continue
             op = a["op"]
             if op == "store" and success in ("release", "seq_cst") and \

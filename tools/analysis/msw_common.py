@@ -1,6 +1,6 @@
 """Shared source model for msw-analyze.
 
-Everything here is engine-agnostic: comment/string stripping that
+Everything here is rule-agnostic: comment/string stripping that
 preserves line and column positions, the SourceFile/Tree containers the
 rules walk, and the small parsing helpers (balanced-delimiter matching,
 enum parsing) that both the legacy per-line rules and the whole-program
@@ -9,7 +9,6 @@ module lets msw_graph import it without a circular dependency on the
 driver in msw_analyze.
 """
 
-import hashlib
 import os
 import re
 
@@ -120,20 +119,13 @@ def strip_code(text):
 
 
 class SourceFile:
-    def __init__(self, root, rel, cache=None):
+    def __init__(self, root, rel):
         self.rel = rel.replace(os.sep, "/")
         self.path = os.path.join(root, rel)
         with open(self.path, "r", encoding="utf-8", errors="replace") as f:
             self.raw = f.read()
         self.raw_lines = self.raw.splitlines()
-        self.sha = hashlib.sha256(self.raw.encode("utf-8",
-                                                  "replace")).hexdigest()
-        stripped = cache.get_stripped(self.rel, self.sha) if cache else None
-        if stripped is None:
-            stripped = strip_code(self.raw)
-            if cache:
-                cache.put_stripped(self.rel, self.sha, stripped)
-        self.code = stripped
+        self.code = strip_code(self.raw)
         self.code_lines = self.code.splitlines()
 
     def line_of(self, offset):
@@ -156,21 +148,11 @@ class Finding:
         return (self.rel, self.line, self.rule, self.msg)
 
 
-_INCLUDE_RE = re.compile(r'(?m)^\s*#\s*include\s*"([^"]+)"')
-
-
 class Tree:
     """All sources the rules look at, rooted at an analysis root that has
-    (at least) a src/ directory and optionally DESIGN.md and tests/.
+    (at least) a src/ directory and optionally DESIGN.md and tests/."""
 
-    Each src file also gets a `closure_sha`: a hash over the file plus
-    its transitive quoted includes (resolved under src/). Fact
-    extraction keys the incremental cache on it, so editing a header
-    that is only ever reached via #include (spin_lock.h, shadow_map.h)
-    cold-reruns every dependent instead of silently serving stale
-    facts keyed on the dependent's own unchanged bytes."""
-
-    def __init__(self, root, cache=None):
+    def __init__(self, root):
         self.root = root
         self.src = []
         src_dir = os.path.join(root, "src")
@@ -178,8 +160,7 @@ class Tree:
             for name in sorted(files):
                 if name.endswith((".h", ".cc", ".cpp", ".hpp")):
                     rel = os.path.relpath(os.path.join(dirpath, name), root)
-                    self.src.append(SourceFile(root, rel, cache))
-        self._compute_include_closures()
+                    self.src.append(SourceFile(root, rel))
         self.tests = []
         tests_dir = os.path.join(root, "tests")
         for dirpath, _dirs, files in sorted(os.walk(tests_dir)):
@@ -189,7 +170,7 @@ class Tree:
             for name in sorted(files):
                 if name.endswith((".h", ".cc", ".cpp")):
                     rel = os.path.relpath(os.path.join(dirpath, name), root)
-                    self.tests.append(SourceFile(root, rel, cache))
+                    self.tests.append(SourceFile(root, rel))
         design = os.path.join(root, "DESIGN.md")
         self.design = None
         if os.path.isfile(design):
@@ -200,39 +181,6 @@ class Tree:
             if f.rel.endswith(rel_suffix):
                 return f
         return None
-
-    def _compute_include_closures(self):
-        by_rel = {sf.rel: sf for sf in self.src}
-        edges = {}
-        for sf in self.src:
-            deps = []
-            for inc in _INCLUDE_RE.findall(sf.raw):
-                cand = "src/" + inc  # quoted includes are src/-relative
-                if cand in by_rel:
-                    deps.append(cand)
-            edges[sf.rel] = deps
-        memo = {}
-
-        def closure(rel, stack):
-            got = memo.get(rel)
-            if got is not None:
-                return got
-            if rel in stack:
-                return {rel}  # include cycle: guards make it benign
-            stack.add(rel)
-            out = {rel}
-            for dep in edges[rel]:
-                out |= closure(dep, stack)
-            stack.discard(rel)
-            memo[rel] = out
-            return out
-
-        for sf in self.src:
-            h = hashlib.sha256()
-            for member in sorted(closure(sf.rel, set())):
-                h.update(member.encode("utf-8"))
-                h.update(by_rel[member].sha.encode("ascii"))
-            sf.closure_sha = h.hexdigest()
 
 
 def _match_delim(code, start, open_c, close_c):

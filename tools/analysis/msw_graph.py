@@ -1,15 +1,8 @@
 """Whole-program model for msw-analyze's interprocedural rules.
 
-Builds a cross-TU call graph over every file in the analysis tree. Two
-graph builders share the same downstream representation:
-
-  textual   generic function-definition scanner + receiver-typed call
-            resolution over the stripped sources (no dependencies; the
-            reference implementation — every interprocedural rule is
-            fully implemented against it)
-  libclang  when the python clang bindings can parse the TUs named in
-            compile_commands.json, call edges are refined with real AST
-            references; any failure falls back to the textual edges
+Builds a cross-TU call graph over every file in the analysis tree: a
+generic function-definition scanner plus receiver-typed call resolution
+over the stripped sources.
 
 On top of the graph sit the dataflow passes the rules consume:
 
@@ -28,13 +21,10 @@ next function definition):
                                             has reinitialised the locks
 """
 
-import os
 import re
 
 from msw_common import _KEYWORDS, _SHIM_ENTRIES, _ATFORK_RE, \
     _SIG_INSTALL_RES, _match_delim, parse_enum
-
-FACTS_VERSION = 2
 
 TAG_RE = re.compile(
     r"msw-analyze:\s*(fast-path|slow-path|fork-deferred)"
@@ -335,7 +325,7 @@ def _innermost_close(pairs, off, default):
 
 
 def extract_file_facts(sf):
-    """Cacheable per-file model: function definitions with their ordered
+    """Per-file model: function definitions with their ordered
     lock/call event streams, ranked-lock declarations, local type hints,
     class hierarchy fragments, annotations, and signal/atfork installs."""
     code = sf.code
@@ -483,7 +473,6 @@ def extract_file_facts(sf):
               for m in _ATFORK_RE.finditer(code)]
 
     return {
-        "v": FACTS_VERSION,
         "funcs": funcs,
         "ranked": ranked,
         "types": types,
@@ -506,20 +495,9 @@ class Program:
     """Linked whole-program view: functions indexed across files, call
     resolution, rank resolution, held-set dataflow, reachability."""
 
-    def __init__(self, tree, cache=None):
+    def __init__(self, tree):
         self.tree = tree
-        self.graph_engine = "textual"
-        self.facts = {}
-        for sf in tree.src:
-            # Keyed on the include-closure hash, not the file's own
-            # sha: a header-only change must invalidate dependents.
-            key = getattr(sf, "closure_sha", sf.sha)
-            facts = cache.get_facts(sf.rel, key) if cache else None
-            if facts is None or facts.get("v") != FACTS_VERSION:
-                facts = extract_file_facts(sf)
-                if cache:
-                    cache.put_facts(sf.rel, key, facts)
-            self.facts[sf.rel] = facts
+        self.facts = {sf.rel: extract_file_facts(sf) for sf in tree.src}
         self._link()
         self._resolve_all()
         self._summaries()
@@ -720,30 +698,6 @@ class Program:
             self.events.append(out)
             self.call_edges.append(edges)
 
-    def apply_precise_edges(self, precise):
-        """Override textual call targets with libclang-resolved ones.
-        `precise` maps fid -> {line: [callee fids]}."""
-        for fid, by_line in precise.items():
-            out = []
-            matched = set()
-            for ev in self.events[fid]:
-                if ev[0] == "call" and ev[2] in by_line:
-                    out.append(("call", by_line[ev[2]], ev[2], ev[3],
-                                ev[4]))
-                    matched.add(ev[2])
-                else:
-                    out.append(ev)
-            for line, callees in sorted(by_line.items()):
-                if line not in matched:
-                    out.append(("call", callees, line, "<ast>", "bare"))
-            out.sort(key=lambda ev: ev[2] if ev[0] == "call" else ev[3])
-            self.events[fid] = out
-            self.call_edges[fid] = [(ev[2], ev[1], ev[3], ev[4])
-                                    for ev in out if ev[0] == "call"]
-        self.graph_engine = "libclang"
-        self._summaries()
-        self._entry_contexts()
-
     # -- dataflow ----------------------------------------------------
 
     def _simulate(self, fid, record=False):
@@ -905,97 +859,3 @@ class Program:
                     roots.add(fid)
         seen, _parent = self.reachable(roots)
         return seen
-
-
-def libclang_call_edges(program, build_dir):
-    """Refine call edges with libclang when the bindings + a compilation
-    database are available; returns {fid: {line: [callee fids]}} or None
-    on any failure (the textual graph remains authoritative then)."""
-    try:
-        import clang.cindex as cindex
-        if not cindex.Config.loaded:
-            import glob as _glob
-            for pat in ("/usr/lib/llvm-*/lib/libclang.so*",
-                        "/usr/lib/x86_64-linux-gnu/libclang-*.so*",
-                        "/usr/lib/libclang.so*"):
-                hits = sorted(_glob.glob(pat))
-                if hits:
-                    cindex.Config.set_library_file(hits[-1])
-                    break
-        index = cindex.Index.create()
-        compdb = cindex.CompilationDatabase.fromDirectory(build_dir)
-    except Exception:
-        return None
-    tree = program.tree
-    by_path = {os.path.realpath(sf.path): sf.rel for sf in tree.src}
-    # (rel, name) -> [(line, fid)] for fuzzy def matching
-    def_index = {}
-    for fid, (rel, fn) in enumerate(program.funcs):
-        def_index.setdefault((rel, fn["name"]), []).append(
-            (fn["line"], fid))
-
-    def find_fid(rel, name, line):
-        best = None
-        for dline, fid in def_index.get((rel, name), []):
-            d = abs(dline - line)
-            if d <= 2 and (best is None or d < best[0]):
-                best = (d, fid)
-        return best[1] if best else None
-
-    precise = {}
-    try:
-        for sf in tree.src:
-            if not sf.rel.endswith((".cc", ".cpp")):
-                continue
-            cmds = compdb.getCompileCommands(sf.path)
-            if not cmds:
-                continue
-            args = []
-            skip = False
-            for a in list(cmds[0].arguments)[1:]:
-                if skip:
-                    skip = False
-                    continue
-                if a in ("-o", "-c"):
-                    skip = a == "-o"
-                    continue
-                if a == sf.path or a.endswith(os.path.basename(sf.path)):
-                    continue
-                args.append(a)
-            tu = index.parse(sf.path, args=args)
-            for cur in tu.cursor.walk_preorder():
-                if cur.kind not in (cindex.CursorKind.FUNCTION_DECL,
-                                    cindex.CursorKind.CXX_METHOD,
-                                    cindex.CursorKind.CONSTRUCTOR,
-                                    cindex.CursorKind.DESTRUCTOR):
-                    continue
-                if not cur.is_definition() or cur.location.file is None:
-                    continue
-                rel = by_path.get(os.path.realpath(
-                    cur.location.file.name))
-                if rel is None:
-                    continue
-                fid = find_fid(rel, cur.spelling, cur.location.line)
-                if fid is None:
-                    continue
-                for node in cur.walk_preorder():
-                    if node.kind != cindex.CursorKind.CALL_EXPR:
-                        continue
-                    ref = node.referenced
-                    if ref is None or ref.location.file is None:
-                        continue
-                    crel = by_path.get(os.path.realpath(
-                        ref.location.file.name))
-                    if crel is None:
-                        continue
-                    cfid = find_fid(crel, ref.spelling,
-                                    ref.location.line)
-                    if cfid is None:
-                        continue
-                    precise.setdefault(fid, {}).setdefault(
-                        node.location.line, [])
-                    if cfid not in precise[fid][node.location.line]:
-                        precise[fid][node.location.line].append(cfid)
-    except Exception:
-        return None
-    return precise or None
