@@ -26,15 +26,15 @@
 #include "bench/bench_common.h"
 #include "core/minesweeper.h"
 #include "core/stat_cells.h"
-#include "core/sweep_controller.h"
 #include "metrics/metrics.h"
+#include "util/clock.h"
 
 namespace {
 
 using msw::core::MineSweeper;
-using msw::core::monotonic_ns;
 using msw::core::Stat;
 using msw::core::StatCells;
+using msw::util::monotonic_ns;
 
 constexpr std::uint64_t kOpsPerThread = 2'000'000;
 

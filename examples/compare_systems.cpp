@@ -30,12 +30,14 @@ main(int argc, char** argv)
     msw::metrics::Table table({"system", "wall s", "cpu s", "avg MiB",
                                "peak MiB", "sweeps"});
     double base_wall = 0;
+    bool ok = true;
     for (const auto kind : {msw::workload::SystemKind::kBaseline,
                             msw::workload::SystemKind::kMineSweeper,
                             msw::workload::SystemKind::kMineSweeperMostly,
                             msw::workload::SystemKind::kMarkUs,
                             msw::workload::SystemKind::kFFMalloc}) {
         const auto rec = msw::workload::measure_profile(kind, profile);
+        ok = ok && rec.ok;
         if (kind == msw::workload::SystemKind::kBaseline)
             base_wall = rec.wall_s;
         table.add_row({msw::workload::system_kind_name(kind),
@@ -49,5 +51,5 @@ main(int argc, char** argv)
     if (base_wall > 0)
         std::printf("\n(ratios vs the first row give the paper's "
                     "slowdown figures)\n");
-    return 0;
+    return ok ? 0 : 1;
 }

@@ -3,161 +3,58 @@
  * A multithreaded "server" on MineSweeper: the production deployment the
  * paper targets (long-running, allocation-heavy, latency-conscious).
  *
- * Four worker threads handle "requests": each allocates a session, a
- * parse buffer and a response, links them (real pointers in the heap),
- * does some work, and retires sessions out of order. A shared
- * session table is registered as a root; workers register as mutator
- * threads so their stacks are scanned and they participate in
- * stop-the-world phases (this example runs the mostly-concurrent mode to
- * exercise them).
+ * Runs the library's server workload (workload/server.h) on the
+ * mostly-concurrent MineSweeper. Four workers serve requests over
+ * sessions with heavy-tailed lifetimes whose headers hold real heap
+ * pointers to their buffers; each worker's session table is a root and
+ * each worker a registered mutator, so sweeps scan them and the
+ * stop-the-world phases stop them. Every request is timed.
  *
  *   $ ./server_workload [requests-per-worker]
  */
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <thread>
-#include <vector>
 
-#include "core/minesweeper.h"
-#include "metrics/metrics.h"
-#include "util/rng.h"
-
-namespace {
-
-struct Session {
-    std::uint64_t id;
-    char* parse_buffer;
-    char* response;
-    Session* next_in_table;  // intrusive chain: heap-internal pointers
-};
-
-constexpr int kWorkers = 4;
-constexpr std::size_t kTableSlots = 512;
-
-/** Shared session table — a root range the sweeps scan. */
-Session* g_table[kTableSlots];
-msw::SpinLock g_table_lock;
-
-void
-worker(msw::core::MineSweeper& ms, int index, std::uint64_t requests,
-       std::atomic<std::uint64_t>& served)
-{
-    ms.register_mutator_thread();
-    msw::Rng rng(9000 + index);
-
-    for (std::uint64_t r = 0; r < requests; ++r) {
-        // Parse an incoming request. Under memory pressure alloc()
-        // returns nullptr (it never aborts): a real server sheds the
-        // request and keeps serving.
-        auto* session = static_cast<Session*>(ms.alloc(sizeof(Session)));
-        if (session == nullptr)
-            continue;
-        session->id = (static_cast<std::uint64_t>(index) << 32) | r;
-        const std::size_t parse_size = 64 + rng.next_below(1500);
-        session->parse_buffer = static_cast<char*>(ms.alloc(parse_size));
-        if (session->parse_buffer == nullptr) {
-            ms.free(session);
-            continue;
-        }
-        std::memset(session->parse_buffer, 'q', parse_size);
-
-        // Produce a response.
-        const std::size_t resp_size = 128 + rng.next_below(4000);
-        session->response = static_cast<char*>(ms.alloc(resp_size));
-        if (session->response == nullptr) {
-            ms.free(session->parse_buffer);
-            ms.free(session);
-            continue;
-        }
-        std::snprintf(session->response, resp_size,
-                      "HTTP/1.1 200 OK\r\ncontent-length: %zu\r\n\r\n",
-                      parse_size);
-
-        // Publish into the shared table, chaining collisions.
-        const std::size_t slot = session->id % kTableSlots;
-        {
-            std::lock_guard<msw::SpinLock> g(g_table_lock);
-            session->next_in_table = g_table[slot];
-            g_table[slot] = session;
-        }
-
-        // Occasionally retire a whole chain (sessions die out of order,
-        // possibly freed by a different thread than allocated them).
-        if (rng.next_bool(0.3)) {
-            Session* chain = nullptr;
-            const std::size_t victim = rng.next_below(kTableSlots);
-            {
-                std::lock_guard<msw::SpinLock> g(g_table_lock);
-                chain = g_table[victim];
-                g_table[victim] = nullptr;
-            }
-            while (chain != nullptr) {
-                Session* next = chain->next_in_table;
-                ms.free(chain->parse_buffer);
-                ms.free(chain->response);
-                ms.free(chain);
-                chain = next;
-            }
-        }
-        served.fetch_add(1, std::memory_order_relaxed);
-    }
-    ms.unregister_mutator_thread();
-}
-
-}  // namespace
+#include "metrics/telemetry.h"
+#include "util/clock.h"
+#include "workload/server.h"
 
 int
 main(int argc, char** argv)
 {
-    const std::uint64_t requests =
+    using namespace msw;
+    workload::ServerOptions opts;
+    opts.ops_per_thread =
         argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 20000;
 
-    msw::core::Options options;
-    options.mode = msw::core::Mode::kMostlyConcurrent;
-    options.min_sweep_bytes = 256 * 1024;
-    msw::core::MineSweeper ms(options);
-    ms.add_root(g_table, sizeof(g_table));
-
-    std::printf("serving %llu requests on %d workers "
+    // The master telemetry layer records every allocation pause.
+    // msw-relaxed(config-flag): armed before the runtime is constructed.
+    metrics::telemetry().enabled.store(true, std::memory_order_relaxed);
+    workload::System sys =
+        workload::make_system(workload::SystemKind::kMineSweeperMostly);
+    std::printf("serving %llu requests on each of %u workers "
                 "(mostly-concurrent MineSweeper)...\n",
-                static_cast<unsigned long long>(requests), kWorkers);
+                static_cast<unsigned long long>(opts.ops_per_thread),
+                opts.threads);
 
-    const double t0 = msw::metrics::wall_seconds();
-    std::atomic<std::uint64_t> served{0};
-    std::vector<std::thread> workers;
-    for (int i = 0; i < kWorkers; ++i)
-        workers.emplace_back(
-            [&, i] { worker(ms, i, requests / kWorkers, served); });
-    for (auto& t : workers)
-        t.join();
-    const double elapsed = msw::metrics::wall_seconds() - t0;
+    const std::uint64_t t0 = util::monotonic_ns();
+    const workload::WorkloadResult result = workload::run_server(sys, opts);
+    const double elapsed_s =
+        static_cast<double>(util::monotonic_ns() - t0) * 1e-9;
 
-    // Drain the table on shutdown.
-    for (auto& slot : g_table) {
-        while (slot != nullptr) {
-            Session* next = slot->next_in_table;
-            ms.free(slot->parse_buffer);
-            ms.free(slot->response);
-            ms.free(slot);
-            slot = next;
-        }
-    }
-    ms.flush();
-
-    const auto stats = ms.stats();
-    const auto sweep_stats = ms.sweep_stats();
-    std::printf("served %llu requests in %.2fs (%.0f req/s)\n",
-                static_cast<unsigned long long>(served.load()), elapsed,
-                served.load() / elapsed);
+    const metrics::LatencySummary& op = result.op_latency;
+    const metrics::StatSnapshot counters = sys.counters();
+    std::printf("served %llu requests in %.2fs (%.0f ops/s), "
+                "p50 %llu ns, p99 %llu ns\n",
+                static_cast<unsigned long long>(op.count), elapsed_s,
+                static_cast<double>(op.count) / elapsed_s,
+                static_cast<unsigned long long>(op.p50_ns),
+                static_cast<unsigned long long>(op.p99_ns));
     std::printf("sweeps: %llu | stop-the-world total: %.2f ms | "
-                "failed frees: %llu | quarantine now: %.1f MiB\n",
-                static_cast<unsigned long long>(sweep_stats.sweeps),
-                sweep_stats.stw_ns / 1e6,
-                static_cast<unsigned long long>(sweep_stats.failed_frees),
-                stats.quarantine_bytes / (1024.0 * 1024.0));
-    std::printf("no session was ever reallocated while referenced — "
-                "use-after-free cannot become use-after-reallocate\n");
-    return 0;
+                "allocation pauses: %llu\n",
+                static_cast<unsigned long long>(counters.sweeps),
+                static_cast<double>(counters[metrics::Stat::kStwNs]) * 1e-6,
+                static_cast<unsigned long long>(
+                    metrics::telemetry().pause_ns.summarize().count));
+    return op.count == opts.threads * opts.ops_per_thread ? 0 : 1;
 }

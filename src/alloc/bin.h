@@ -63,8 +63,6 @@ class Bin
      */
     void free_batch(ExtentMeta* meta, void* const* ptrs, std::size_t n);
 
-    unsigned cls() const { return cls_; }
-
     // atfork integration (called by JadeAllocator's fork hooks): fork
     // with lock_ held so the child inherits consistent slab lists. The
     // acquire/release pairing straddles fork(), outside what the static

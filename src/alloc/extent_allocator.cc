@@ -1,10 +1,10 @@
 #include "alloc/extent_allocator.h"
 
 #include <atomic>
-#include <ctime>
 
 #include "util/bits.h"
 #include "util/check.h"
+#include "util/clock.h"
 #include "util/failpoint.h"
 #include "util/log.h"
 
@@ -29,15 +29,6 @@ coalescible(const ExtentMeta* neighbour, const ExtentMeta* e)
 }
 
 }  // namespace
-
-std::uint64_t
-monotonic_ms()
-{
-    struct timespec ts;
-    ::clock_gettime(CLOCK_MONOTONIC, &ts);
-    return static_cast<std::uint64_t>(ts.tv_sec) * 1000u +
-           static_cast<std::uint64_t>(ts.tv_nsec) / 1000000u;
-}
 
 ExtentAllocator::ExtentAllocator(std::size_t heap_bytes,
                                  std::uint64_t decay_ms)
@@ -125,7 +116,7 @@ ExtentAllocator::insert_free(ExtentMeta* e)
     // Only decay reads the clock stamp; the post-sweep purge reads the
     // epoch.
     if (decay_ms_ != 0)
-        e->freed_at_ms = monotonic_ms();
+        e->freed_at_ms = util::monotonic_ns() / 1000000;
     e->freed_in_epoch = purge_epoch_;
     link_free(e);
 }
@@ -338,7 +329,7 @@ ExtentAllocator::free_extent_locked(ExtentMeta* e)
     insert_free(e);
 
     if (decay_ms_ != 0) {
-        const std::uint64_t now = monotonic_ms();
+        const std::uint64_t now = util::monotonic_ns() / 1000000;
         if (now - last_decay_check_ms_ >= 250) {
             last_decay_check_ms_ = now;
             decay_pass_locked([&](const ExtentMeta* f) {
@@ -348,24 +339,11 @@ ExtentAllocator::free_extent_locked(ExtentMeta* e)
     }
 }
 
-ExtentMeta*
-ExtentAllocator::lookup(std::uintptr_t addr) const
-{
-    if (!heap_.contains(addr))
-        return nullptr;
-    LockGuard g(lock_);
-    ExtentMeta* e = page_map_[page_index(addr)];
-    if (e == nullptr || e->kind == ExtentKind::kFree)
-        return nullptr;
-    MSW_DCHECK(addr >= e->base && addr < e->end());
-    return e;
-}
-
 void
 ExtentAllocator::decay_tick()
 {
     LockGuard g(lock_);
-    const std::uint64_t now = monotonic_ms();
+    const std::uint64_t now = util::monotonic_ns() / 1000000;
     decay_pass_locked([&](const ExtentMeta* e) {
         return now - e->freed_at_ms >= decay_ms_;
     });

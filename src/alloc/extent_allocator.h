@@ -88,13 +88,6 @@ class ExtentAllocator
     void free_extent_decommitted(ExtentMeta* e);
 
     /**
-     * Look up the extent containing @p addr. Returns nullptr for addresses
-     * outside any active extent (free ranges, never-allocated space, or
-     * outside the reservation).
-     */
-    ExtentMeta* lookup(std::uintptr_t addr) const;
-
-    /**
      * Lock-free lookup for addresses the caller *knows* are inside a live
      * allocation (the page-map entry for an extent holding a live object
      * cannot change concurrently). Used on the free() fast path.
@@ -182,26 +175,6 @@ class ExtentAllocator
         lock_.unlock();
     }
 
-    /**
-     * Invoke @p fn(base, bytes) for every active (slab or large) extent.
-     * Takes the extent lock; @p fn must not reenter the allocator.
-     */
-    template <typename Fn>
-    void
-    for_each_active_extent(Fn&& fn) const
-    {
-        LockGuard g(lock_);
-        for (std::size_t page = 0; page < frontier_pages_;) {
-            ExtentMeta* e = page_map_[page];
-            if (e != nullptr && e->kind != ExtentKind::kFree) {
-                fn(e->base, e->bytes());
-                page += e->pages;
-            } else {
-                page += e != nullptr ? e->pages : 1;
-            }
-        }
-    }
-
   private:
     // Free-list buckets: exact-size buckets for 1..kExactBuckets pages,
     // then one bucket per power of two.
@@ -261,8 +234,5 @@ class ExtentAllocator
     std::size_t active_bytes_ MSW_GUARDED_BY(lock_) = 0;
     std::uint64_t purge_count_ MSW_GUARDED_BY(lock_) = 0;
 };
-
-/** Monotonic milliseconds used for decay timestamps. */
-std::uint64_t monotonic_ms();
 
 }  // namespace msw::alloc

@@ -366,13 +366,6 @@ JadeAllocator::free(void* ptr)
 }
 
 void
-JadeAllocator::free_direct(void* ptr)
-{
-    if (ptr != nullptr)
-        free_direct_batch(&ptr, 1);
-}
-
-void
 JadeAllocator::free_direct_batch(void* const* ptrs, std::size_t n)
 {
     for (std::size_t w = 0; w < n; w += kBatchWindow)
@@ -497,30 +490,6 @@ JadeAllocator::alloc_aligned(std::size_t alignment, std::size_t size)
 }
 
 bool
-JadeAllocator::lookup_allocation(std::uintptr_t addr,
-                                 AllocationInfo* out) const
-{
-    ExtentMeta* e = extents_.lookup(addr);
-    if (e == nullptr)
-        return false;
-    if (e->kind == ExtentKind::kLarge) {
-        out->base = e->base;
-        out->usable = e->bytes();
-        out->live = true;
-        return true;
-    }
-    MSW_DCHECK(e->kind == ExtentKind::kSlab);
-    const std::size_t obj = class_size(e->cls);
-    const unsigned slot = static_cast<unsigned>((addr - e->base) / obj);
-    if (slot >= slab_slots(e->cls))
-        return false;  // Tail waste past the last object.
-    out->base = e->base + slot * obj;
-    out->usable = obj;
-    out->live = e->slot_allocated(slot);
-    return true;
-}
-
-bool
 JadeAllocator::lookup_relaxed(std::uintptr_t addr, AllocationInfo* out) const
 {
     if (!extents_.contains(addr))
@@ -548,7 +517,6 @@ JadeAllocator::lookup_relaxed(std::uintptr_t addr, AllocationInfo* out) const
     if (kind == ExtentKind::kLarge) {
         out->base = base;
         out->usable = pages << vm::kPageShift;
-        out->live = true;
         return true;
     }
     // msw-relaxed(page-map): validated against num_classes_ below.
@@ -558,10 +526,9 @@ JadeAllocator::lookup_relaxed(std::uintptr_t addr, AllocationInfo* out) const
     const std::size_t obj = class_size(cls);
     const unsigned slot = static_cast<unsigned>((addr - base) / obj);
     if (slot >= slab_slots(cls))
-        return false;
+        return false;  // Tail waste past the last slot.
     out->base = base + slot * obj;
     out->usable = obj;
-    out->live = true;
     return true;
 }
 

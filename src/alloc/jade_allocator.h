@@ -68,23 +68,18 @@ class JadeAllocator final : public Allocator
     /** Flush the calling thread's cache back to the bins. */
     void flush() override;
 
-    /**
-     * Free bypassing the thread cache. The quarantine release path uses
-     * this so recycled objects return to the shared bins rather than being
-     * stranded in the sweeper thread's cache.
-     */
-    void free_direct(void* ptr);
-
     /** Pointers free_direct_batch() groups at a time. */
     static constexpr std::size_t kBatchWindow = 64;
 
     /**
-     * free_direct() for @p n pointers at once, kBatchWindow at a time.
-     * Within a window, small objects are grouped by slab in order of
-     * first appearance and each group goes back under one bin lock
-     * (Bin::free_batch), so a caller-chosen order — the hardened
-     * policy's release shuffle — still decides which slab rejoins its
-     * bin's list first. The call and live-byte counters update once per
+     * Free @p n pointers bypassing the thread cache, kBatchWindow at a
+     * time. The quarantine release path uses this so recycled objects
+     * return to the shared bins rather than being stranded in the
+     * sweeping thread's cache. Within a window, small objects are
+     * grouped by slab in order of first appearance and each group goes
+     * back under one bin lock (Bin::free_batch), so a caller-chosen
+     * order — the hardened policy's release shuffle — still decides
+     * which slab rejoins its bin's list first. The call and live-byte counters update once per
      * window. Windows bound both the scratch (on the stack) and how long
      * a mutator's cache refill can wait behind one bin lock.
      */
@@ -111,27 +106,21 @@ class JadeAllocator final : public Allocator
         return extents_.reservation();
     }
 
-    /** Byte size + base of the allocation containing @p addr, if any. */
+    /** Byte size + base of the allocation containing @p addr. */
     struct AllocationInfo {
         std::uintptr_t base = 0;
         std::size_t usable = 0;
-        /** True if the slot/extent is currently allocated. */
-        bool live = false;
     };
 
     /**
-     * Conservative interior-pointer lookup: resolves @p addr to the
-     * allocation (live or not) containing it. Returns false for addresses
-     * in free space or outside the heap. Thread-safe (takes the extent
-     * lock); used by the MarkUs marking pass.
-     */
-    bool lookup_allocation(std::uintptr_t addr, AllocationInfo* out) const;
-
-    /**
-     * Lock-free variant of lookup_allocation for concurrent conservative
-     * marking. Tolerates races with extent churn by validating the
-     * metadata it reads; may return a stale (but range-plausible)
-     * allocation, which over-approximates marking — safe, never unsafe.
+     * Conservative interior-pointer lookup: resolves @p addr to the slot
+     * or large extent containing it, allocated or not. Returns false for
+     * addresses in free extents, in a slab's tail waste past its last
+     * slot, or outside the heap. Lock-free, for concurrent conservative
+     * marking (MarkUs) and the crash classifier: it tolerates races with
+     * extent churn by validating the metadata it reads, and may return a
+     * stale (but range-plausible) allocation, which over-approximates
+     * marking — safe, never unsafe.
      */
     bool lookup_relaxed(std::uintptr_t addr, AllocationInfo* out) const;
 

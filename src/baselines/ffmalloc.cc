@@ -15,9 +15,8 @@ using alloc::size_to_class;
 
 namespace {
 
-constexpr std::uint8_t kOpen = 0;
-constexpr std::uint8_t kSealed = 1;
-constexpr std::uint8_t kDecommitted = 2;
+/** Page-state bit: the bump pointer has passed the page. */
+constexpr std::uint16_t kSealed = 0x8000;
 
 }  // namespace
 
@@ -30,12 +29,9 @@ FFMalloc::FFMalloc(const Options& opts)
     info_space_.commit_must(info_space_.base(), info_space_.size());
     page_info_ = to_ptr_of<std::uint32_t>(info_space_.base());
 
-    live_space_ = vm::Reservation::reserve(
-        pages * (sizeof(std::uint16_t) + sizeof(std::uint8_t)));
+    live_space_ = vm::Reservation::reserve(pages * sizeof(std::uint16_t));
     live_space_.commit_must(live_space_.base(), live_space_.size());
-    page_live_ = to_ptr_of<std::atomic<std::uint16_t>>(live_space_.base());
-    page_sealed_ = to_ptr_of<std::atomic<std::uint8_t>>(
-        live_space_.base() + pages * sizeof(std::uint16_t));
+    page_state_ = to_ptr_of<std::atomic<std::uint16_t>>(live_space_.base());
 
     {
         LockGuard g(frontier_lock_);
@@ -77,38 +73,33 @@ FFMalloc::grab_span(std::size_t bytes, std::size_t align_bytes)
     }
     if (space_.commit(addr, bytes) != vm::VmStatus::kOk)
         return 0;  // frontier untouched; a later attempt may succeed
-    // Alignment-gap pages are dead forever; they were never committed, so
-    // sealing them costs nothing.
-    for (std::uintptr_t p = frontier_; p < addr; p += vm::kPageSize)
-        // msw-relaxed(page-seal): written under frontier_lock_; the
-        // reclaimer re-reads cells racily and tolerates staleness.
-        page_sealed_[page_index(p)].store(kDecommitted,
-                                          std::memory_order_relaxed);
+    // Alignment-gap pages are dead forever and were never committed.
     frontier_ = addr + bytes;
     stats_.add(core::Stat::kCommittedBytes, bytes);
     return addr;
 }
 
 void
+FFMalloc::decommit_page(std::uintptr_t page_addr)
+{
+    // On transient decommit failure the page stays physically committed
+    // (bounded leak: its VA is retired and it is never touched again),
+    // so the accounting must not drop it.
+    if (space_.decommit(page_addr, vm::kPageSize) == vm::VmStatus::kOk)
+        stats_.sub(core::Stat::kCommittedBytes, vm::kPageSize);
+}
+
+void
 FFMalloc::seal_and_maybe_decommit(std::uintptr_t page_addr)
 {
-    const std::size_t idx = page_index(page_addr);
-    std::uint8_t expected = kOpen;
-    if (!page_sealed_[idx].compare_exchange_strong(
-            expected, kSealed, std::memory_order_acq_rel)) {
-        return;  // already sealed or decommitted
-    }
-    if (page_live_[idx].load(std::memory_order_acquire) == 0) {
-        expected = kSealed;
-        if (page_sealed_[idx].compare_exchange_strong(
-                expected, kDecommitted, std::memory_order_acq_rel) &&
-            space_.decommit(page_addr, vm::kPageSize) == vm::VmStatus::kOk) {
-            // On transient decommit failure the page stays physically
-            // committed (bounded leak: its VA is retired and it is never
-            // touched again), so the accounting must not drop it.
-            stats_.sub(core::Stat::kCommittedBytes, vm::kPageSize);
-        }
-    }
+    // Sealing an empty page decommits it; a page sealed with live
+    // objects is decommitted by the free that empties it. Count and
+    // seal share one word, so exactly one of the two sees the page both
+    // sealed and empty. Idempotent: a second seal finds kSealed set.
+    const std::uint16_t old = page_state_[page_index(page_addr)].fetch_or(
+        kSealed, std::memory_order_acq_rel);
+    if (old == 0)
+        decommit_page(page_addr);
 }
 
 void
@@ -118,20 +109,13 @@ FFMalloc::on_object_freed(std::uintptr_t base, std::size_t usable)
     const std::uintptr_t last =
         align_down(base + usable - 1, vm::kPageSize);
     for (std::uintptr_t p = first; p <= last; p += vm::kPageSize) {
-        const std::size_t idx = page_index(p);
-        const std::uint16_t prev =
-            page_live_[idx].fetch_sub(1, std::memory_order_acq_rel);
-        MSW_CHECK(prev != 0);
-        if (prev == 1) {
-            // Page is empty: decommit if no future allocation can land on
-            // it (sealed).
-            std::uint8_t expected = kSealed;
-            if (page_sealed_[idx].compare_exchange_strong(
-                    expected, kDecommitted, std::memory_order_acq_rel) &&
-                space_.decommit(p, vm::kPageSize) == vm::VmStatus::kOk) {
-                stats_.sub(core::Stat::kCommittedBytes, vm::kPageSize);
-            }
-        }
+        const std::uint16_t old = page_state_[page_index(p)].fetch_sub(
+            1, std::memory_order_acq_rel);
+        MSW_CHECK((old & ~kSealed) != 0);
+        // The last object off a sealed page: no allocation can land on
+        // it again.
+        if (old == (kSealed | 1))
+            decommit_page(p);
     }
 }
 
@@ -183,10 +167,11 @@ FFMalloc::alloc(std::size_t size)
         const std::uintptr_t last =
             align_down(addr + csize - 1, vm::kPageSize);
         for (std::uintptr_t p = first; p <= last; p += vm::kPageSize) {
-            // msw-relaxed(page-seal): live census under pool.lock;
-            // only RMW atomicity matters to racing frees.
-            page_live_[page_index(p)].fetch_add(1,
-                                                std::memory_order_relaxed);
+            // msw-relaxed(page-seal): live census under pool.lock, on a
+            // page not yet sealed; only RMW atomicity matters to racing
+            // frees.
+            page_state_[page_index(p)].fetch_add(1,
+                                                 std::memory_order_relaxed);
         }
         // Seal pages the bump pointer has fully passed: nothing more will
         // ever be allocated on them (one-time allocation).
@@ -222,9 +207,6 @@ FFMalloc::alloc_large(std::size_t size, std::size_t align_bytes)
     page_info_[first] = kLargeStart | static_cast<std::uint32_t>(pages);
     for (std::size_t i = 1; i < pages; ++i)
         page_info_[first + i] = kLargeInterior;
-    // msw-relaxed(page-seal): per-page live census; only RMW
-    // atomicity matters, sealing re-checks under the pool lock.
-    page_live_[first].fetch_add(1, std::memory_order_relaxed);
     stats_.add(core::Stat::kLiveBytes, bytes);
     return to_ptr(addr);
 }
@@ -248,16 +230,10 @@ FFMalloc::free(void* ptr)
         const std::size_t bytes = pages << vm::kPageShift;
         stats_.sub(core::Stat::kLiveBytes, bytes);
         // The whole span dies at once: decommit it and retire the VA.
+        // Its pages' state words are never used.
         const std::size_t first = page_index(addr);
-        // msw-relaxed(page-seal): the span dies wholesale; census and
-        // seal cells only need atomicity against racing readers.
-        page_live_[first].fetch_sub(1, std::memory_order_relaxed);
-        for (std::size_t i = 0; i < pages; ++i) {
+        for (std::size_t i = 0; i < pages; ++i)
             page_info_[first + i] = kPageFree;
-            // msw-relaxed(page-seal): as above — wholesale death.
-            page_sealed_[first + i].store(kDecommitted,
-                                          std::memory_order_relaxed);
-        }
         if (space_.decommit(addr, bytes) == vm::VmStatus::kOk)
             stats_.sub(core::Stat::kCommittedBytes, bytes);
         return;

@@ -19,8 +19,9 @@
  *  - small classes (reusing JadeHeap's class table) are bump-allocated
  *    from per-class 64 KiB pools, never revisited once full;
  *  - large allocations take page-multiple spans directly;
- *  - per-page live counters + a per-page info word (class or large
- *    span geometry) support free() and usable_size();
+ *  - a per-page state word (live-object count + sealed bit) and a
+ *    per-page info word (class or large span geometry) support free()
+ *    and usable_size();
  *  - a page is decommitted when its live count drops to zero and the
  *    bump pointer has moved past it (it is "sealed").
  */
@@ -106,6 +107,7 @@ class FFMalloc final : public core::RuntimeBase
      */
     [[nodiscard]] bool refill_pool(unsigned cls)
         MSW_NO_THREAD_SAFETY_ANALYSIS;
+    void decommit_page(std::uintptr_t page_addr);
     void seal_and_maybe_decommit(std::uintptr_t page_addr);
     void on_object_freed(std::uintptr_t base, std::size_t usable);
 
@@ -115,10 +117,13 @@ class FFMalloc final : public core::RuntimeBase
 
     /** Per-page info word (see encoding above). */
     std::uint32_t* page_info_ = nullptr;
-    /** Per-page count of live objects overlapping the page. */
-    std::atomic<std::uint16_t>* page_live_ = nullptr;
-    /** Per-page flag: bump pointer has passed; no new objects will land. */
-    std::atomic<std::uint8_t>* page_sealed_ = nullptr;
+    /**
+     * Per small-object page: the count of live objects overlapping it,
+     * plus kSealed once the bump pointer has passed it (no new object
+     * will land). One word, so the seal and the last free agree on who
+     * decommits.
+     */
+    std::atomic<std::uint16_t>* page_state_ = nullptr;
 
     // Rank kExtent: the frontier is FFMalloc's extent layer.
     mutable SpinLock frontier_lock_{util::LockRank::kExtent};

@@ -2,6 +2,7 @@
 
 #include "sweep/residency.h"
 #include "util/bits.h"
+#include "util/clock.h"
 
 namespace msw::baseline {
 
@@ -116,7 +117,7 @@ MarkUs::run_mark()
     arm_tracker();
 
     // Phase 1b: concurrent transitive mark from the roots.
-    const std::uint64_t mark_t0 = core::monotonic_ns();
+    const std::uint64_t mark_t0 = util::monotonic_ns();
     std::vector<Range> worklist;
     std::vector<Range> root_ranges = roots_.roots();
     for (const Range& r : roots_.stacks())
@@ -133,7 +134,7 @@ MarkUs::run_mark()
     stats_.add(Stat::kBytesScanned, scanned);
     // Mark phase: both transitive passes (the STW recheck included).
     record_phase(Stat::kPhaseMarkNs, metrics::TraceEvent::kPhaseMark,
-                 core::monotonic_ns() - mark_t0, scanned);
+                 util::monotonic_ns() - mark_t0, scanned);
 
     // Phase 3: drain, release unmarked quarantined allocations and
     // close. MarkUs aggressively reclaims allocator free structures after

@@ -233,7 +233,7 @@ classify_fault(const void* addr, std::uint64_t* epoch_out)
         return FaultClass::kHeapUnmapped;
     if (rt->in_quarantine(to_ptr(info.base)))
         return FaultClass::kQuarantined;
-    return info.live ? FaultClass::kHeapLive : FaultClass::kHeapUnmapped;
+    return FaultClass::kHeapLive;
 }
 
 void

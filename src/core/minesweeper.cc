@@ -3,6 +3,7 @@
 #include "core/lifecycle.h"
 #include "metrics/telemetry.h"
 #include "sweep/residency.h"
+#include "util/clock.h"
 
 namespace msw::core {
 
@@ -124,7 +125,7 @@ MineSweeper::run_sweep()
         arm_tracker();
         // Phase 1b (mark): concurrent linear mark of all scannable
         // memory, plus the STW recheck when tracking.
-        const std::uint64_t mark_t0 = monotonic_ns();
+        const std::uint64_t mark_t0 = util::monotonic_ns();
         std::uint64_t scanned =
             marker_.mark_ranges(scan_ranges(), workers_.get()).bytes_scanned;
         if (tracker_ != nullptr) {
@@ -139,7 +140,7 @@ MineSweeper::run_sweep()
         // The mark phase spans both passes (the STW window included:
         // its recheck is marking work; kStwNs isolates the stop itself).
         record_phase(Stat::kPhaseMarkNs, metrics::TraceEvent::kPhaseMark,
-                     monotonic_ns() - mark_t0, scanned);
+                     util::monotonic_ns() - mark_t0, scanned);
     }
 
     // Phase 3: drain, release and close on this thread; the helpers

@@ -14,6 +14,7 @@
 #include "sweep/sweeper.h"
 #include "util/bits.h"
 #include "util/check.h"
+#include "util/clock.h"
 #include "util/failpoint.h"
 #include "util/log.h"
 
@@ -186,7 +187,7 @@ QuarantineRuntime::alloc(std::size_t size, std::size_t alignment)
     // Telemetry op sampling (MSW_TELEMETRY=ops): off means one relaxed
     // load and a predicted-not-taken branch; on costs two clock reads.
     const bool timed = __builtin_expect(metrics::telemetry().ops_on(), 0);
-    const std::uint64_t t0 = timed ? monotonic_ns() : 0;
+    const std::uint64_t t0 = timed ? util::monotonic_ns() : 0;
     stats_.add(Stat::kAllocCalls);
     controller_.maybe_pause();
     // +1 byte so one-past-the-end pointers stay inside the allocation
@@ -202,7 +203,7 @@ QuarantineRuntime::alloc(std::size_t size, std::size_t alignment)
     if (__builtin_expect(arm != nullptr, 0) && p != nullptr)
         arm(p, jade_.usable_size(p));
     if (__builtin_expect(timed, 0))
-        metrics::telemetry().alloc_ns.record(monotonic_ns() - t0);
+        metrics::telemetry().alloc_ns.record(util::monotonic_ns() - t0);
     return p;
 }
 
@@ -288,9 +289,9 @@ QuarantineRuntime::free(void* ptr)
         free_impl(ptr);
         return;
     }
-    const std::uint64_t t0 = monotonic_ns();
+    const std::uint64_t t0 = util::monotonic_ns();
     free_impl(ptr);
-    metrics::telemetry().free_ns.record(monotonic_ns() - t0);
+    metrics::telemetry().free_ns.record(util::monotonic_ns() - t0);
 }
 
 void
@@ -491,7 +492,7 @@ QuarantineRuntime::open_sweep()
     // The sweep is the slow path by construction, so its clocks run
     // unconditionally; only trace-ring pushes are gated.
     sweep_cpu0_ns_ = sweep::thread_cpu_ns();
-    sweep_t0_ns_ = monotonic_ns();
+    sweep_t0_ns_ = util::monotonic_ns();
     metrics::telemetry().trace_event(TraceEvent::kSweepBegin,
                                      locked_in_.size());
     return true;
@@ -500,7 +501,7 @@ QuarantineRuntime::open_sweep()
 void
 QuarantineRuntime::arm_tracker()
 {
-    const std::uint64_t t0 = monotonic_ns();
+    const std::uint64_t t0 = util::monotonic_ns();
     if (tracker_ != nullptr) {
         std::vector<Range> tracked = access_map_.committed_runs();
         if (tracker_->tracks_arbitrary_memory()) {
@@ -510,14 +511,14 @@ QuarantineRuntime::arm_tracker()
         tracker_->begin(tracked);
     }
     record_phase(Stat::kPhaseDirtyScanNs, TraceEvent::kPhaseDirtyScan,
-                 monotonic_ns() - t0);
+                 util::monotonic_ns() - t0);
 }
 
 void
 QuarantineRuntime::stw_recheck(
     const std::function<void(const std::vector<Range>&)>& mark)
 {
-    const std::uint64_t t0 = monotonic_ns();
+    const std::uint64_t t0 = util::monotonic_ns();
     roots_.stop_world();
     std::vector<Range> rescan;
     tracker_->end_collect(rescan);
@@ -531,7 +532,8 @@ QuarantineRuntime::stw_recheck(
         rescan.push_back(r);
     mark(rescan);
     roots_.resume_world();
-    record_phase(Stat::kStwNs, TraceEvent::kStwPause, monotonic_ns() - t0);
+    record_phase(Stat::kStwNs, TraceEvent::kStwPause,
+                 util::monotonic_ns() - t0);
 }
 
 void
@@ -539,10 +541,10 @@ QuarantineRuntime::finish_sweep(std::uint64_t helper_cpu_ns)
 {
     // Drain phase: every entry a deferred unmap affects is still
     // quarantined here, and its pages have been scanned.
-    std::uint64_t t0 = monotonic_ns();
+    std::uint64_t t0 = util::monotonic_ns();
     reclaimer_.drain_pending();
     record_phase(Stat::kPhaseDrainNs, TraceEvent::kPhaseDrain,
-                 monotonic_ns() - t0);
+                 util::monotonic_ns() - t0);
 
     // Release phase: walk the locked-in quarantine in windows of
     // kBatchWindow entries and hand each window's releasable entries
@@ -557,7 +559,7 @@ QuarantineRuntime::finish_sweep(std::uint64_t helper_cpu_ns)
     // entries have no bytes to audit.
     const auto check_fill =
         config_.reclaim.zeroing ? config_.policy->check_free_fill : nullptr;
-    t0 = monotonic_ns();
+    t0 = util::monotonic_ns();
     std::vector<Entry> failed;
     Reclaimer::ReleaseTally released;
     std::uint64_t failed_count = 0;
@@ -599,7 +601,7 @@ QuarantineRuntime::finish_sweep(std::uint64_t helper_cpu_ns)
         released.bytes += r.bytes;
     }
     record_phase(Stat::kPhaseReleaseNs, TraceEvent::kPhaseRelease,
-                 monotonic_ns() - t0, released.entries);
+                 util::monotonic_ns() - t0, released.entries);
     stats_.add(Stat::kSweepFillChecks, fill_checks);
     stats_.add(Stat::kCanaryViolations, fill_violations);
 
@@ -618,7 +620,7 @@ QuarantineRuntime::finish_sweep(std::uint64_t helper_cpu_ns)
     stats_.add(Stat::kSweepCpuNs,
                sweep::thread_cpu_ns() - sweep_cpu0_ns_ + helper_cpu_ns);
     metrics::telemetry().trace_event(TraceEvent::kSweepEnd,
-                                     monotonic_ns() - sweep_t0_ns_,
+                                     util::monotonic_ns() - sweep_t0_ns_,
                                      released.entries);
 }
 

@@ -4,6 +4,7 @@
 #include <new>
 
 #include "metrics/telemetry.h"
+#include "util/clock.h"
 #include "util/failpoint.h"
 #include "util/log.h"
 
@@ -36,15 +37,6 @@ sleep_ms(long ms)
 }
 
 }  // namespace
-
-std::uint64_t
-monotonic_ns()
-{
-    struct timespec ts;
-    ::clock_gettime(CLOCK_MONOTONIC, &ts);
-    return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000ull +
-           static_cast<std::uint64_t>(ts.tv_nsec);
-}
 
 bool
 SweepController::in_sweep_context()
@@ -335,7 +327,7 @@ SweepController::request_sweep(bool pause_allocations)
         // msw-relaxed(sweeper-token): stamped under sweep_mu_; the
         // unlocked watchdog read tolerates staleness by one period.
         if (sweep_request_ns_.load(std::memory_order_relaxed) == 0)
-            sweep_request_ns_.store(monotonic_ns(),
+            sweep_request_ns_.store(util::monotonic_ns(),
                                     std::memory_order_relaxed);
         // msw-relaxed(sweeper-token): advisory gate; waiters poll it
         // on a timed wait, so a stale read only delays one period.
@@ -428,7 +420,7 @@ SweepController::check_watchdog()
     // early-out); the fallback sweep itself re-takes the real token.
     const bool overdue =
         watchdog_tripped_.load(std::memory_order_relaxed) ||
-        monotonic_ns() - req >=
+        util::monotonic_ns() - req >=
             config_.watchdog_timeout_ms * 1'000'000ull;
     if (!overdue)
         return;
@@ -461,7 +453,7 @@ SweepController::maybe_pause()
 void
 SweepController::pause()
 {
-    const std::uint64_t t0 = monotonic_ns();
+    const std::uint64_t t0 = util::monotonic_ns();
     {
         const WaiterGuard waiter(&control_waiters_);
         if (!waiter.entered())
@@ -478,7 +470,7 @@ SweepController::pause()
                          !pause_flag_.load(std::memory_order_relaxed);
               });
     }
-    const std::uint64_t paused_ns = monotonic_ns() - t0;
+    const std::uint64_t paused_ns = util::monotonic_ns() - t0;
     stats_->add(Stat::kPauseNs, paused_ns);
     // Only reached when the thread actually paused, so this is off the
     // allocation fast path; the telemetry gate keeps it one relaxed

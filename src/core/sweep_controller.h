@@ -35,9 +35,6 @@
 
 namespace msw::core {
 
-/** Monotonic clock in nanoseconds (CLOCK_MONOTONIC). */
-std::uint64_t monotonic_ns();
-
 class SweepController
 {
   public:

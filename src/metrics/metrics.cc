@@ -6,7 +6,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -17,6 +16,7 @@
 #include <type_traits>
 
 #include "util/check.h"
+#include "util/clock.h"
 #include "util/log.h"
 #include "vm/vm.h"
 
@@ -35,19 +35,10 @@ process_cpu_seconds()
     return to_s(ru.ru_utime) + to_s(ru.ru_stime);
 }
 
-double
-wall_seconds()
-{
-    struct timespec ts;
-    ::clock_gettime(CLOCK_MONOTONIC, &ts);
-    return static_cast<double>(ts.tv_sec) +
-           static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
 // ---------------------------------------------------------------- sampler
 
 RssSampler::RssSampler(unsigned interval_ms)
-    : interval_ms_(interval_ms), start_(wall_seconds())
+    : interval_ms_(interval_ms), start_ns_(util::monotonic_ns())
 {
     sample();
     thread_ = std::thread([this] { loop(); });
@@ -63,7 +54,8 @@ RssSampler::sample()
 {
     const std::size_t rss = vm::current_rss_bytes();
     MutexGuard g(mu_);
-    samples_.emplace_back(wall_seconds() - start_, rss);
+    samples_.emplace_back(
+        static_cast<double>(util::monotonic_ns() - start_ns_) * 1e-9, rss);
 }
 
 void
@@ -148,15 +140,17 @@ read_fully(int fd, void* buf, std::size_t len, unsigned timeout_s,
     auto* p = static_cast<char*>(buf);
     while (len > 0) {
         if (timeout_s > 0) {
-            const double deadline = wall_seconds() + timeout_s;
+            const std::uint64_t deadline =
+                util::monotonic_ns() + timeout_s * 1000000000ull;
             int pr;
             do {
                 struct pollfd pfd {
                     fd, POLLIN, 0
                 };
-                const double left_ms = (deadline - wall_seconds()) * 1e3;
-                pr = ::poll(&pfd, 1,
-                            static_cast<int>(std::max(0.0, left_ms)));
+                const std::uint64_t now = util::monotonic_ns();
+                const std::uint64_t left_ms =
+                    now < deadline ? (deadline - now) / 1000000 : 0;
+                pr = ::poll(&pfd, 1, static_cast<int>(left_ms));
             } while (pr < 0 && errno == EINTR);
             *timed_out = pr == 0;
             if (pr <= 0)

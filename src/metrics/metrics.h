@@ -64,9 +64,6 @@ struct RunRecord : RunHead {
 /** Process CPU time (user+system, all threads) in seconds. */
 double process_cpu_seconds();
 
-/** Monotonic wall clock in seconds. */
-double wall_seconds();
-
 /**
  * PSRecord-style background RSS sampler. The constructor and stop() each
  * take a sample too, so even a run shorter than one interval has its
@@ -95,7 +92,7 @@ class RssSampler
     void sample();
 
     unsigned interval_ms_;
-    double start_;
+    std::uint64_t start_ns_;
     // Rank kMetrics: leaf lock, never held while calling anything else.
     mutable Mutex mu_{util::LockRank::kMetrics};
     std::vector<std::pair<double, std::size_t>> samples_

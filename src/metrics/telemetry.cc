@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <ctime>
 #include <unistd.h>
 
 #include "util/sigsafe_io.h"
@@ -94,15 +93,6 @@ Telemetry&
 telemetry()
 {
     return g_telemetry;
-}
-
-std::uint64_t
-telemetry_now_ns()
-{
-    struct timespec ts;
-    ::clock_gettime(CLOCK_MONOTONIC, &ts);
-    return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000ull +
-           static_cast<std::uint64_t>(ts.tv_nsec);
 }
 
 bool

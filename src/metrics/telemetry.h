@@ -48,8 +48,8 @@ struct TelemetryCounter {
 using TelemetryCounterFn = std::size_t (*)(TelemetryCounter* out,
                                            std::size_t cap);
 
-/** Most counters a provider may export through one dump. */
-inline constexpr std::size_t kMaxCounters = 32;
+/** Most counters one dump exports: `sweeps` and every MSW_STAT_LIST row. */
+inline constexpr std::size_t kMaxCounters = kStatCount + 1;
 
 /**
  * Fill @p out with `sweeps` and then every MSW_STAT_LIST row of @p s
@@ -131,8 +131,5 @@ void telemetry_dump_sigsafe(int fd);
 
 /** Install the SIGUSR2 dump-to-stderr handler (idempotent). */
 void telemetry_install_sigusr2();
-
-/** CLOCK_MONOTONIC in nanoseconds (for op timing in workloads). */
-std::uint64_t telemetry_now_ns();
 
 }  // namespace msw::metrics

@@ -1,21 +1,8 @@
 #include "metrics/trace_ring.h"
 
-#include <ctime>
+#include "util/clock.h"
 
 namespace msw::metrics {
-
-namespace {
-
-std::uint64_t
-trace_now_ns()
-{
-    struct timespec ts;
-    ::clock_gettime(CLOCK_MONOTONIC, &ts);
-    return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000ull +
-           static_cast<std::uint64_t>(ts.tv_nsec);
-}
-
-}  // namespace
 
 const char*
 trace_event_name(TraceEvent event)
@@ -69,7 +56,7 @@ TraceRing::push(TraceEvent event, std::uint64_t a0, std::uint64_t a1)
     (void)s.seq.exchange(ticket * 2 + 1, std::memory_order_acq_rel);
     // msw-relaxed(trace-ring): payload stores bracketed by the
     // sequence-word edges above/below; no independent ordering needed.
-    s.ts.store(trace_now_ns(), std::memory_order_relaxed);
+    s.ts.store(util::monotonic_ns(), std::memory_order_relaxed);
     // msw-relaxed(trace-ring): as above — bracketed payload store.
     s.ev.store(static_cast<std::uint64_t>(event),
                std::memory_order_relaxed);

@@ -118,9 +118,6 @@ scan_maps_roots()
     return roots;
 }
 
-static_assert(msw::metrics::kStatCount + 1 <= msw::metrics::kMaxCounters,
-              "every counter plus sweeps must fit one telemetry dump");
-
 /**
  * Telemetry counter provider: every runtime counter, exported through
  * MSW_STATS_DUMP and the SIGUSR2 dump. Async-signal-safe — counters() is

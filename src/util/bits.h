@@ -55,20 +55,6 @@ log2_floor(std::uint64_t x)
     return 63u - static_cast<unsigned>(std::countl_zero(x));
 }
 
-/** ceil(log2(x)); @p x must be nonzero. */
-constexpr unsigned
-log2_ceil(std::uint64_t x)
-{
-    return x <= 1 ? 0 : log2_floor(x - 1) + 1;
-}
-
-/** Next power of two >= x (x must be nonzero and representable). */
-constexpr std::uint64_t
-pow2_ceil(std::uint64_t x)
-{
-    return std::uint64_t{1} << log2_ceil(x);
-}
-
 /** Pointer <-> integer conversions kept in one place. */
 inline std::uintptr_t
 to_addr(const void* p)

@@ -68,13 +68,4 @@ log_write(LogLevel level, const char* fmt, ...)
 
 }  // namespace detail
 
-void
-set_log_level(LogLevel level)
-{
-    // msw-relaxed(config-flag): log verbosity toggle; a late-observed
-    // flip only mis-levels a message or two.
-    detail::log_level_ref().store(static_cast<int>(level),
-                                  std::memory_order_relaxed);
-}
-
 }  // namespace msw

@@ -1,8 +1,8 @@
 /**
  * @file
- * Minimal levelled logging. Output goes to stderr; the level is set either
- * programmatically or from the MSW_LOG environment variable
- * (error|warn|info|debug). Logging is off above the configured level and
+ * Minimal levelled logging. Output goes to stderr; the level comes from
+ * the MSW_LOG environment variable only (error|warn|info|debug, default
+ * warn), read once at first use. Logging is off above that level and
  * costs one relaxed atomic load when disabled.
  */
 #pragma once
@@ -26,19 +26,6 @@ std::atomic<int>& log_level_ref();
 [[gnu::format(printf, 2, 3)]]
 void log_write(LogLevel level, const char* fmt, ...);
 }  // namespace detail
-
-/** Set the global log level. */
-void set_log_level(LogLevel level);
-
-/** Current global log level. */
-inline LogLevel
-log_level()
-{
-    // msw-relaxed(config-flag): verbosity read on the logging fast
-    // path; staleness is harmless.
-    return static_cast<LogLevel>(
-        detail::log_level_ref().load(std::memory_order_relaxed));
-}
 
 /** True if messages at @p level would currently be emitted. */
 inline bool

@@ -122,8 +122,6 @@ class MSW_SCOPED_CAPABILITY UniqueLock
         held_ = false;
     }
 
-    bool owns_lock() const { return held_; }
-
     UniqueLock(const UniqueLock&) = delete;
     UniqueLock& operator=(const UniqueLock&) = delete;
 

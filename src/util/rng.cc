@@ -3,7 +3,8 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <ctime>
+
+#include "util/clock.h"
 
 namespace msw {
 
@@ -19,10 +20,7 @@ entropy_seed()
     // /dev/urandom dependency: this must work during early LD_PRELOAD
     // bootstrap and right after fork.
     static std::atomic<std::uint64_t> counter{0};
-    timespec ts{};
-    ::clock_gettime(CLOCK_MONOTONIC, &ts);
-    SplitMix64 sm(static_cast<std::uint64_t>(ts.tv_nsec) ^
-                  (static_cast<std::uint64_t>(ts.tv_sec) << 20) ^
+    SplitMix64 sm(util::monotonic_ns() ^
                   (static_cast<std::uint64_t>(::getpid()) << 40) ^
                   // msw-relaxed(fork-window): entropy mix-in; RMW
                   // atomicity decorrelates concurrent seeders.
@@ -59,13 +57,6 @@ rng_note_fork_child()
     // msw-relaxed(fork-window): the child is single-threaded here;
     // nothing can race the bump.
     g_rng_generation.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::uint64_t
-rng_generation()
-{
-    // msw-relaxed(fork-window): diagnostic read for tests.
-    return g_rng_generation.load(std::memory_order_relaxed);
 }
 
 }  // namespace msw

@@ -183,7 +183,4 @@ Rng& thread_rng();
  */
 void rng_note_fork_child();
 
-/** Current reseed generation (test introspection). */
-std::uint64_t rng_generation();
-
 }  // namespace msw

@@ -1,7 +1,6 @@
 #include "vm/vm.h"
 
 #include <sys/mman.h>
-#include <sys/resource.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -172,18 +171,6 @@ Reservation::purge_keep_accessible(std::uintptr_t addr, std::size_t len) const
 }
 
 VmStatus
-Reservation::protect_none(std::uintptr_t addr, std::size_t len) const
-{
-    if (!check_range(addr, len)) {
-        return VmStatus::kOk;
-    }
-    if (::mprotect(to_ptr(addr), len, PROT_NONE) != 0) {
-        return classify_failure("protect_none", errno);
-    }
-    return VmStatus::kOk;
-}
-
-VmStatus
 Reservation::protect_rw(std::uintptr_t addr, std::size_t len) const
 {
     if (!check_range(addr, len)) {
@@ -222,15 +209,6 @@ current_rss_bytes()
     if (n != 2)
         return 0;
     return static_cast<std::size_t>(rss_pages) * kPageSize;
-}
-
-std::size_t
-peak_rss_bytes()
-{
-    struct rusage ru;
-    if (::getrusage(RUSAGE_SELF, &ru) != 0)
-        return 0;
-    return static_cast<std::size_t>(ru.ru_maxrss) * 1024u;
 }
 
 }  // namespace msw::vm

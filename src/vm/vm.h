@@ -116,9 +116,6 @@ class Reservation
     VmStatus purge_keep_accessible(std::uintptr_t addr,
                                    std::size_t len) const;
 
-    /** Remove all access permissions from [addr, addr+len). */
-    VmStatus protect_none(std::uintptr_t addr, std::size_t len) const;
-
     /** Restore read+write permissions on [addr, addr+len). */
     VmStatus protect_rw(std::uintptr_t addr, std::size_t len) const;
 
@@ -144,8 +141,5 @@ class Reservation
 
 /** Current resident set size of this process in bytes (from /proc). */
 std::size_t current_rss_bytes();
-
-/** Peak resident set size of this process in bytes (from getrusage). */
-std::size_t peak_rss_bytes();
 
 }  // namespace msw::vm

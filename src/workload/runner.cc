@@ -1,6 +1,7 @@
 #include "workload/runner.h"
 
 #include "metrics/telemetry.h"
+#include "util/clock.h"
 #include "workload/executor.h"
 
 namespace msw::workload {
@@ -22,13 +23,14 @@ measure(SystemKind kind,
                 true, std::memory_order_relaxed);
             System sys = make_system(kind, msw_options);
             metrics::RssSampler sampler(mopts.rss_interval_ms);
-            const double wall0 = metrics::wall_seconds();
+            const std::uint64_t wall0 = util::monotonic_ns();
             const double cpu0 = metrics::process_cpu_seconds();
 
             const WorkloadResult result = body(sys);
 
             sys.flush();
-            rec.wall_s = metrics::wall_seconds() - wall0;
+            rec.wall_s =
+                static_cast<double>(util::monotonic_ns() - wall0) * 1e-9;
             rec.cpu_s = metrics::process_cpu_seconds() - cpu0;
             sampler.stop();
             rec.avg_rss = sampler.average();

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "metrics/metrics.h"
-#include "metrics/telemetry.h"
+#include "util/clock.h"
 #include "util/rng.h"
 
 namespace msw::workload {
@@ -65,9 +65,9 @@ class ServerWorker
         system_.add_root(slots_.data(), slots_.size() * sizeof(Session*));
 
         for (std::uint64_t op = 0; op < opts_.ops_per_thread; ++op) {
-            const std::uint64_t t0 = metrics::telemetry_now_ns();
+            const std::uint64_t t0 = util::monotonic_ns();
             serve_one(op);
-            hist_.record(metrics::telemetry_now_ns() - t0);
+            hist_.record(util::monotonic_ns() - t0);
         }
 
         // Server shutdown: close every live session, then deregister the

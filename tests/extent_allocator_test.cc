@@ -37,24 +37,37 @@ TEST_F(ExtentAllocTest, DistinctExtentsDoNotOverlap)
 TEST_F(ExtentAllocTest, LookupFindsExtentForEveryInteriorPage)
 {
     ExtentMeta* e = ea.alloc_extent(8, ExtentKind::kLarge);
-    for (std::size_t off = 0; off < e->bytes(); off += vm::kPageSize)
-        EXPECT_EQ(ea.lookup(e->base + off), e);
-    EXPECT_EQ(ea.lookup(e->base + e->bytes() - 1), e);
+    for (std::size_t off = 0; off < e->bytes(); off += vm::kPageSize) {
+        EXPECT_EQ(ea.lookup_live(e->base + off), e);
+        EXPECT_EQ(ea.peek_page_map(e->base + off), e);
+    }
+    EXPECT_EQ(ea.lookup_live(e->base + e->bytes() - 1), e);
+}
+
+/** A freed extent's pages map to nothing or to a free extent. */
+bool
+maps_to_free(const ExtentAllocator& ea, std::uintptr_t addr)
+{
+    const ExtentMeta* e = ea.peek_page_map(addr);
+    return e == nullptr || e->kind == ExtentKind::kFree;
 }
 
 TEST_F(ExtentAllocTest, LookupReturnsNullAfterFree)
 {
-    ExtentMeta* e = ea.alloc_extent(2, ExtentKind::kLarge);
+    ExtentMeta* e = ea.alloc_extent(4, ExtentKind::kLarge);
     const std::uintptr_t base = e->base;
     ea.free_extent(e);
-    EXPECT_EQ(ea.lookup(base), nullptr);
+    for (std::size_t off = 0; off < 4 * vm::kPageSize; off += vm::kPageSize)
+        EXPECT_TRUE(maps_to_free(ea, base + off)) << "offset " << off;
 }
 
 TEST_F(ExtentAllocTest, LookupOutsideHeapReturnsNull)
 {
     int local = 0;
-    EXPECT_EQ(ea.lookup(to_addr(&local)), nullptr);
-    EXPECT_EQ(ea.lookup(0x1000), nullptr);
+    EXPECT_FALSE(ea.contains(to_addr(&local)));
+    EXPECT_FALSE(ea.contains(0x1000));
+    EXPECT_FALSE(ea.contains(ea.reservation().end()));
+    EXPECT_TRUE(ea.contains(ea.reservation().base()));
 }
 
 TEST_F(ExtentAllocTest, FreedExtentIsReused)
@@ -136,24 +149,6 @@ TEST_F(ExtentAllocTest, PurgedExtentIsRecommittedOnReuse)
     auto* p = reinterpret_cast<unsigned char*>(base);
     EXPECT_EQ(p[0], 0u) << "purged memory must come back zeroed";
     p[0] = 1;  // and writable
-}
-
-TEST_F(ExtentAllocTest, ForEachActiveExtentSeesAllActive)
-{
-    std::vector<ExtentMeta*> extents;
-    for (int i = 0; i < 5; ++i)
-        extents.push_back(ea.alloc_extent(i + 1, ExtentKind::kLarge));
-    ea.free_extent(extents[2]);
-
-    std::size_t total = 0;
-    int count = 0;
-    ea.for_each_active_extent([&](std::uintptr_t /*base*/,
-                                  std::size_t bytes) {
-        total += bytes;
-        ++count;
-    });
-    EXPECT_EQ(count, 4);
-    EXPECT_EQ(total, (1 + 2 + 4 + 5) * vm::kPageSize);
 }
 
 TEST_F(ExtentAllocTest, ManyAllocFreeCyclesStayBounded)

@@ -1,6 +1,6 @@
 // JadeHeap end-to-end tests: malloc/free semantics, size classes, thread
-// caches, large allocations, alignment, realloc, lookup, stats, and
-// multi-threaded stress.
+// caches, large allocations, alignment, realloc, lookup_relaxed, stats,
+// and multi-threaded stress.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -14,6 +14,23 @@
 
 namespace msw::alloc {
 namespace {
+
+/**
+ * True if @p p no longer holds an allocation: its slot is clear in its
+ * slab's bitmap, or its slab or large extent went back to the extent
+ * allocator (the page map names no extent or a free one).
+ */
+bool
+reads_free(const JadeAllocator& jade, const void* p)
+{
+    const ExtentMeta* e = jade.extents().peek_page_map(to_addr(p));
+    if (e == nullptr || e->kind == ExtentKind::kFree)
+        return true;
+    if (e->kind == ExtentKind::kLarge)
+        return false;
+    return !e->slot_allocated(
+        static_cast<unsigned>((to_addr(p) - e->base) / class_size(e->cls)));
+}
 
 class JadeTest : public ::testing::Test
 {
@@ -170,10 +187,9 @@ TEST_F(JadeTest, LookupAllocationFindsInteriorPointers)
 {
     auto* p = static_cast<char*>(jade.alloc(1000));
     JadeAllocator::AllocationInfo info;
-    ASSERT_TRUE(jade.lookup_allocation(to_addr(p) + 500, &info));
+    ASSERT_TRUE(jade.lookup_relaxed(to_addr(p) + 500, &info));
     EXPECT_EQ(info.base, to_addr(p));
     EXPECT_GE(info.usable, 1000u);
-    EXPECT_TRUE(info.live);
     jade.free(p);
 }
 
@@ -181,10 +197,13 @@ TEST_F(JadeTest, LookupAllocationLargeInterior)
 {
     auto* p = static_cast<char*>(jade.alloc(1 << 20));
     JadeAllocator::AllocationInfo info;
-    ASSERT_TRUE(jade.lookup_allocation(to_addr(p) + (1 << 19), &info));
+    ASSERT_TRUE(jade.lookup_relaxed(to_addr(p) + (1 << 19), &info));
     EXPECT_EQ(info.base, to_addr(p));
-    EXPECT_TRUE(info.live);
+    EXPECT_GE(info.usable, std::size_t{1} << 20);
     jade.free(p);
+    // The freed extent holds no allocation any more.
+    EXPECT_FALSE(jade.lookup_relaxed(to_addr(p), &info));
+    EXPECT_FALSE(jade.lookup_relaxed(to_addr(p) + (1 << 19), &info));
 }
 
 TEST_F(JadeTest, LookupAllocationSeesFreedSlotAsDead)
@@ -193,16 +212,32 @@ TEST_F(JadeTest, LookupAllocationSeesFreedSlotAsDead)
     jade.flush();  // ensure the free below reaches the bin, not the tcache
     jade.free(p);
     jade.flush();
-    JadeAllocator::AllocationInfo info;
-    if (jade.lookup_allocation(to_addr(p), &info))
-        EXPECT_FALSE(info.live);
+    EXPECT_TRUE(reads_free(jade, p));
 }
 
 TEST_F(JadeTest, LookupRejectsNonHeapAddresses)
 {
     int local = 0;
     JadeAllocator::AllocationInfo info;
-    EXPECT_FALSE(jade.lookup_allocation(to_addr(&local), &info));
+    EXPECT_FALSE(jade.lookup_relaxed(to_addr(&local), &info));
+    EXPECT_FALSE(jade.lookup_relaxed(jade.reservation().end(), &info));
+
+    // Slab tail waste holds no object either. No size class leaves tail
+    // waste in its own slab, but a stale class read from reused metadata
+    // can, so a slot index past the class's last slot must be rejected.
+    const unsigned big = size_to_class(80);    // 5-page slabs
+    const unsigned small = size_to_class(64);  // 64 slots fill one page
+    void* p = jade.alloc(class_size(big));
+    ExtentMeta* slab = jade.extents().lookup_live(to_addr(p));
+    const std::uintptr_t tail =
+        slab->base + class_size(small) * slab_slots(small);
+    ASSERT_LT(tail, slab->end());
+    slab->set_cls(static_cast<std::uint16_t>(small));
+    EXPECT_TRUE(jade.lookup_relaxed(slab->base, &info));
+    EXPECT_FALSE(jade.lookup_relaxed(tail, &info));
+    EXPECT_FALSE(jade.lookup_relaxed(slab->end() - 1, &info));
+    slab->set_cls(static_cast<std::uint16_t>(big));
+    jade.free(p);
 }
 
 TEST_F(JadeTest, StatsTrackLiveBytes)
@@ -227,12 +262,12 @@ TEST_F(JadeTest, StatsCountCalls)
 TEST_F(JadeTest, FreeDirectBypassesThreadCache)
 {
     void* p = jade.alloc(64);
-    jade.free_direct(p);
-    // The object must be back in the bin: a fresh alloc may or may not
-    // return it, but live accounting must be exact.
-    JadeAllocator::AllocationInfo info;
-    if (jade.lookup_allocation(to_addr(p), &info))
-        EXPECT_FALSE(info.live);
+    const std::size_t live = jade.live_bytes();
+    jade.free_direct_batch(&p, 1);
+    // The object must be back in the bin, not in this thread's cache,
+    // and live accounting must be exact.
+    EXPECT_TRUE(reads_free(jade, p));
+    EXPECT_EQ(jade.live_bytes(), live - 64);
 }
 
 TEST_F(JadeTest, SlabsAreReleasedWhenEmptied)
@@ -320,7 +355,8 @@ TEST(BinTest, FreeBatchFollowsFreeOneSlabRules)
         const std::uintptr_t s2_base = s2->base;
         rig->release(2, 0, rig->nslots, b);
         EXPECT_EQ(rig->ea.stats().active_bytes, full - slab_bytes);
-        EXPECT_EQ(rig->ea.lookup(s2_base), nullptr);
+        const ExtentMeta* gone = rig->ea.peek_page_map(s2_base);
+        EXPECT_TRUE(gone == nullptr || gone->kind == ExtentKind::kFree);
     }
     // Both bins then refill identically: slab 0's free slots first, then
     // the cached slab.
@@ -343,12 +379,8 @@ TEST_F(JadeTest, FreeDirectBatchKeepsStatsExact)
     const AllocatorStats after = jade.stats();
     EXPECT_EQ(after.free_calls - before.free_calls, ptrs.size());
     EXPECT_EQ(before.live_bytes - after.live_bytes, bytes);
-    for (void* p : ptrs) {
-        JadeAllocator::AllocationInfo info;
-        if (jade.lookup_allocation(to_addr(p), &info)) {
-            EXPECT_FALSE(info.live);
-        }
-    }
+    for (void* p : ptrs)
+        EXPECT_TRUE(reads_free(jade, p));
 }
 
 TEST_F(JadeTest, RandomChurnMaintainsIntegrity)
@@ -457,16 +489,15 @@ TEST(JadeNoTcache, WorksWithThreadCacheDisabled)
 TEST(JadeLifecycle, ThreadExitFlushesItsCache)
 {
     JadeAllocator jade;
+    void* p = nullptr;
     std::thread worker([&] {
-        void* p = jade.alloc(64);
+        p = jade.alloc(64);
         jade.free(p);  // lands in the worker's tcache
     });
     worker.join();  // tcache destructor must flush to the bin
-    JadeAllocator::AllocationInfo info;
-    // After the flush the object must be genuinely free.
-    // (The slab may have been released entirely, in which case lookup
-    // fails — also acceptable.)
-    SUCCEED();
+    // After the flush the object must be genuinely free (or its slab
+    // released entirely).
+    EXPECT_TRUE(reads_free(jade, p));
 }
 
 }  // namespace

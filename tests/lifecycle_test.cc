@@ -496,16 +496,15 @@ TEST(Lifecycle, ForkChildReseedsPolicyRng)
     // predictable from the parent, so the atfork child handler bumps
     // the reseed generation and the child's next draw diverges.
     MineSweeper ms(small_options());  // installs the atfork handlers
-    (void)thread_rng().next_u64();    // instantiate this thread's engine
-    const std::uint64_t gen_before = rng_generation();
+    // A copy of this thread's engine replays what the parent and an
+    // un-reseeded child would draw next.
+    const Rng before = thread_rng();
 
     int fds[2];
     ASSERT_EQ(pipe(fds), 0);
     const pid_t pid = fork();
     ASSERT_GE(pid, 0) << "fork failed: " << std::strerror(errno);
     if (pid == 0) {
-        if (rng_generation() != gen_before + 1)
-            _exit(2);  // atfork handler did not bump the generation
         std::uint64_t draws[4];
         for (auto& d : draws)
             d = thread_rng().next_u64();
@@ -522,15 +521,15 @@ TEST(Lifecycle, ForkChildReseedsPolicyRng)
     close(fds[0]);
     close(fds[1]);
 
-    // The parent's engine was not invalidated: these are exactly the
-    // values the child would have produced from the duplicated state.
-    std::uint64_t parent_draws[4];
-    for (auto& d : parent_draws)
-        d = thread_rng().next_u64();
-    EXPECT_NE(std::memcmp(parent_draws, child_draws,
-                          sizeof(parent_draws)),
-              0);
-    EXPECT_EQ(rng_generation(), gen_before);
+    // The child reseeded: it did not replay the duplicated state. The
+    // parent's engine was not invalidated: it did.
+    Rng replay = before;
+    std::uint64_t duplicated[4];
+    for (auto& d : duplicated)
+        d = replay.next_u64();
+    EXPECT_NE(std::memcmp(duplicated, child_draws, sizeof(duplicated)), 0);
+    for (const std::uint64_t d : duplicated)
+        EXPECT_EQ(thread_rng().next_u64(), d);
 }
 
 }  // namespace

@@ -189,7 +189,7 @@ TEST(Placement, HardenedThreadCacheReuseIsNotLifo)
 
 /**
  * Slab refill order after a batched release in @p order: frees go
- * through free_direct_batch (or one free_direct each when @p one_by_one),
+ * through one free_direct_batch (or one per pointer when @p one_by_one),
  * then as many allocations as frees report which of the three slabs
  * (0, 1, 2 in allocation order) each came from.
  */
@@ -216,7 +216,7 @@ refill_slabs(const std::vector<int>& order, bool one_by_one)
         batch.push_back(objs[s * nslots + next[s]++]);
     if (one_by_one) {
         for (void* p : batch)
-            jade.free_direct(p);
+            jade.free_direct_batch(&p, 1);
     } else {
         jade.free_direct_batch(batch.data(), batch.size());
     }

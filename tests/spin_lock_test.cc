@@ -82,15 +82,32 @@ TEST(SpinLock, TryLockUnderContentionEventuallySucceeds)
     EXPECT_GE(successes.load(), kTarget);
 }
 
+/** True if another thread finds @p mu locked. */
+bool
+locked_elsewhere(Mutex& mu)
+{
+    bool got = false;
+    std::thread([&] {
+        got = mu.try_lock();
+        if (got)
+            mu.unlock();
+    }).join();
+    return !got;
+}
+
 TEST(Mutex, UniqueLockManualRelockRoundTrip)
 {
     Mutex mu;
-    UniqueLock l(mu);
-    EXPECT_TRUE(l.owns_lock());
-    l.unlock();
-    EXPECT_FALSE(l.owns_lock());
-    l.lock();
-    EXPECT_TRUE(l.owns_lock());
+    {
+        UniqueLock l(mu);
+        EXPECT_TRUE(locked_elsewhere(mu));
+        l.unlock();
+        EXPECT_FALSE(locked_elsewhere(mu));
+        l.lock();
+        EXPECT_TRUE(locked_elsewhere(mu));
+    }
+    // The destructor released the re-taken lock exactly once.
+    EXPECT_FALSE(locked_elsewhere(mu));
 }
 
 /** RAII enable/restore so a failing assertion cannot leak global state. */

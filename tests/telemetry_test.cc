@@ -14,6 +14,7 @@
 
 #include "core/minesweeper.h"
 #include "metrics/telemetry.h"
+#include "util/clock.h"
 
 namespace msw::metrics {
 namespace {
@@ -205,8 +206,8 @@ TEST_F(TelemetryTest, OpsOffRecordsNothing)
 
 TEST_F(TelemetryTest, NowNsIsMonotonic)
 {
-    const std::uint64_t a = telemetry_now_ns();
-    const std::uint64_t b = telemetry_now_ns();
+    const std::uint64_t a = util::monotonic_ns();
+    const std::uint64_t b = util::monotonic_ns();
     EXPECT_GE(b, a);
     EXPECT_GT(b, 0u);
 }

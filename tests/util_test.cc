@@ -43,11 +43,6 @@ TEST(Bits, Log2)
     EXPECT_EQ(log2_floor(2), 1u);
     EXPECT_EQ(log2_floor(3), 1u);
     EXPECT_EQ(log2_floor(4096), 12u);
-    EXPECT_EQ(log2_ceil(1), 0u);
-    EXPECT_EQ(log2_ceil(3), 2u);
-    EXPECT_EQ(log2_ceil(4), 2u);
-    EXPECT_EQ(pow2_ceil(5), 8u);
-    EXPECT_EQ(pow2_ceil(8), 8u);
 }
 
 TEST(Bits, CeilDiv)

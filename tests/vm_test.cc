@@ -102,7 +102,6 @@ TEST(Reservation, MethodsOnEmptyReservationAreNoOps)
     EXPECT_EQ(r.commit(0, kPageSize), VmStatus::kOk);
     EXPECT_EQ(r.decommit(0, kPageSize), VmStatus::kOk);
     EXPECT_EQ(r.purge_keep_accessible(0, kPageSize), VmStatus::kOk);
-    EXPECT_EQ(r.protect_none(0, kPageSize), VmStatus::kOk);
     EXPECT_EQ(r.protect_rw(0, kPageSize), VmStatus::kOk);
     r.release();
     r.release();
@@ -159,19 +158,6 @@ TEST(Reservation, ReservedPagesAreInaccessible)
     EXPECT_TRUE(access_faults(r.base()));
 }
 
-TEST(Reservation, ProtectNoneRevokesAccess)
-{
-    Reservation r = Reservation::reserve(kPageSize);
-    ASSERT_EQ(r.commit(r.base(), kPageSize), VmStatus::kOk);
-    *reinterpret_cast<char*>(r.base()) = 1;
-    ASSERT_EQ(r.protect_none(r.base(), kPageSize), VmStatus::kOk);
-    EXPECT_TRUE(access_faults(r.base()));
-    ASSERT_EQ(r.protect_rw(r.base(), kPageSize), VmStatus::kOk);
-    EXPECT_FALSE(access_faults(r.base()));
-    // protect_rw (unlike decommit+commit) preserves contents.
-    EXPECT_EQ(*reinterpret_cast<char*>(r.base()), 1);
-}
-
 TEST(Rss, CurrentRssIsPlausible)
 {
     const std::size_t rss = current_rss_bytes();
@@ -188,11 +174,6 @@ TEST(Rss, CommittingAndTouchingRaisesRss)
     std::memset(reinterpret_cast<void*>(r.base()), 1, kBytes);
     const std::size_t after = current_rss_bytes();
     EXPECT_GT(after, before + kBytes / 2);
-}
-
-TEST(Rss, PeakRssAtLeastCurrent)
-{
-    EXPECT_GE(peak_rss_bytes() + 1024 * 1024, current_rss_bytes());
 }
 
 TEST(PagesFor, Rounding)
